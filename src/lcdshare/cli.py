@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .analysis import render_json, render_text, table_row
-from .codes import is_lcd, random_lcd_code
+from .codes import random_lcd_code
 from .errors import BadParameters, LcdshareError, NotLcd, ValidationError
 from .io_formats import (
     ShareFile,
@@ -117,7 +117,7 @@ def _cmd_check(args) -> int:
     code = read_code(args.code)
     print(f"ring: {code.ring} ({code.ring.label})")
     print(f"n: {code.n}  k: {code.k}")
-    if not is_lcd(code):
+    if not code.lcd:
         raise NotLcd("the stacked (G over H) matrix is not invertible")
     print("LCD: confirmed")
     return 0

@@ -12,6 +12,7 @@ intersects them, so the two must agree and can cross-check each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .errors import (
     TooLargeToEnumerate,
     ValidationError,
 )
-from .linalg import RMatrix, RVector, _rref, is_full_row_rank, stack_rows, unit_rank
+from .linalg import RMatrix, RVector, _rref, is_full_row_rank, right_inverse, stack_rows
 from .ring import RingSpec
 from .rng import SplitMix64
 
@@ -39,6 +40,9 @@ class LinearCode:
     1 <= k <= n, full row rank of G and H, and G H^T = 0.  For k = n
     the parity check matrix is the empty 0 x n matrix and the dual
     code is {0}.
+
+    G^+, the LCD verdict and the dual map are cached on first use; they
+    cannot go stale, as the dataclass is frozen and G, H are read-only.
     """
 
     ring: RingSpec
@@ -63,13 +67,31 @@ class LinearCode:
             raise ValidationError(
                 f"H has shape {self.H.shape}, expected {(self.n - self.k, self.n)}"
             )
-        if not is_full_row_rank(self.G):
-            raise ValidationError("G is not full row rank")
-        if self.H.rows and not is_full_row_rank(self.H):
+        try:
+            self.G_plus  # the elimination that proves full row rank
+        except NotFullRowRank:
+            raise ValidationError("G is not full row rank") from None
+        if not is_full_row_rank(self.H):
             raise ValidationError("H is not full row rank")
         syndromes = self.G @ self.H.T
         if syndromes.entries.any():
             raise ValidationError("G H^T != 0")
+
+    @cached_property
+    def G_plus(self) -> RMatrix:
+        """A right inverse of G, so c @ G_plus recovers l from c = l G."""
+        return right_inverse(self.G)
+
+    @cached_property
+    def lcd(self) -> bool:
+        """The verdict of is_lcd for this code."""
+        return is_lcd(self)
+
+    @cached_property
+    def dual_map(self) -> RMatrix:
+        """The n x n matrix D = G^+[:, :n-k] H: for a codeword c = l G,
+        c @ D is the dual word l[:n-k] H that the scheme pairs with it."""
+        return self.G_plus.take_cols(range(self.n - self.k)) @ self.H
 
 
 def parity_check_from_generator(generator: RMatrix) -> LinearCode:
@@ -90,20 +112,19 @@ def parity_check_from_generator(generator: RMatrix) -> LinearCode:
         )
     others = [c for c in range(n) if c not in set(pivots)]
     H = np.zeros((n - k, n), dtype=np.int64)
-    for j, c in enumerate(others):
-        H[j, c] = 1
-        for i, pc in enumerate(pivots):
-            H[j, pc] = (-int(E[i, c])) % ring.m
+    H[:, others] = np.eye(n - k, dtype=np.int64)
+    H[:, pivots] = -E[:k, others].T
     return LinearCode(ring=ring, n=n, k=k, G=generator, H=RMatrix(ring, H))
 
 
-def encode(code: LinearCode, coefficients: RVector) -> RVector:
-    """Codeword for a coefficient row: l @ G."""
+def encode(code: LinearCode, coefficients: RVector | RMatrix) -> RVector | RMatrix:
+    """Codeword for a coefficient row, l @ G; one per row for a matrix."""
     if coefficients.ring != code.ring:
         raise DimensionMismatch("coefficient ring differs from the code ring")
-    if len(coefficients) != code.k:
+    width = coefficients.entries.shape[-1]
+    if width != code.k:
         raise DimensionMismatch(
-            f"coefficient vector has length {len(coefficients)}, expected k={code.k}"
+            f"coefficient vector has length {width}, expected k={code.k}"
         )
     return coefficients @ code.G
 
@@ -117,8 +138,7 @@ def is_codeword(code: LinearCode, word: RVector) -> bool:
 
 def is_lcd(code: LinearCode) -> bool:
     """LCD test via invertibility of the stacked (G over H) matrix."""
-    stacked = stack_rows([code.G, code.H]) if code.H.rows else code.G
-    return unit_rank(stacked) == code.n
+    return is_full_row_rank(stack_rows([code.G, code.H]))
 
 
 def _all_vectors(ring: RingSpec, length: int) -> np.ndarray:
@@ -172,18 +192,29 @@ def _random_matrix(rng: SplitMix64, ring: RingSpec, rows: int, cols: int) -> RMa
     return RMatrix(ring, values.reshape(rows, cols))
 
 
-def random_code(
-    ring: RingSpec, n: int, k: int, seed: int, max_tries: int = DEFAULT_MAX_TRIES
-) -> LinearCode:
-    """Uniformly drawn full-row-rank generator, not filtered for LCD."""
+def _draw_code(ring, n, k, seed, max_tries, accept, wanted) -> LinearCode:
+    """Draw uniform k x n generators until one has full row rank and
+    its code passes `accept`; every draw counts against max_tries."""
     if not 1 <= k <= n:
         raise BadParameters(f"need 1 <= k <= n, got k={k}, n={n}")
     rng = SplitMix64(seed)
     for _ in range(max_tries):
-        g = _random_matrix(rng, ring, k, n)
-        if is_full_row_rank(g):
-            return parity_check_from_generator(g)
-    raise GenerationFailed(f"no full-row-rank generator found in {max_tries} draws")
+        try:
+            code = parity_check_from_generator(_random_matrix(rng, ring, k, n))
+        except NotFullRowRank:
+            continue
+        if accept(code):
+            return code
+    raise GenerationFailed(f"no {wanted} found in {max_tries} draws")
+
+
+def random_code(
+    ring: RingSpec, n: int, k: int, seed: int, max_tries: int = DEFAULT_MAX_TRIES
+) -> LinearCode:
+    """Uniformly drawn full-row-rank generator, not filtered for LCD."""
+    return _draw_code(
+        ring, n, k, seed, max_tries, lambda code: True, "full-row-rank generator"
+    )
 
 
 def random_lcd_code(
@@ -194,14 +225,4 @@ def random_lcd_code(
     Deterministic for a fixed seed.  Each draw counts against
     max_tries whether it fails the rank test or the LCD test.
     """
-    if not 1 <= k <= n:
-        raise BadParameters(f"need 1 <= k <= n, got k={k}, n={n}")
-    rng = SplitMix64(seed)
-    for _ in range(max_tries):
-        g = _random_matrix(rng, ring, k, n)
-        if not is_full_row_rank(g):
-            continue
-        code = parity_check_from_generator(g)
-        if is_lcd(code):
-            return code
-    raise GenerationFailed(f"no LCD code found in {max_tries} draws")
+    return _draw_code(ring, n, k, seed, max_tries, lambda code: code.lcd, "LCD code")

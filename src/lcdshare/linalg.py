@@ -69,17 +69,70 @@ def _mod_matmul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class RVector:
-    """Immutable vector over a ring; entries canonical in [0, m)."""
+class _RArray:
+    """What RVector and RMatrix share: an immutable array over a ring,
+    entries canonical in [0, m), compared and combined elementwise."""
 
     ring: RingSpec
     entries: np.ndarray
 
     def __post_init__(self):
         arr = _canon(self.ring, self.entries)
-        if arr.ndim != 1:
-            raise DimensionMismatch(f"vector must be 1-D, got shape {arr.shape}")
+        if arr.ndim != self._NDIM:
+            raise DimensionMismatch(
+                f"{self._KIND} must be {self._NDIM}-D, got shape {arr.shape}"
+            )
         object.__setattr__(self, "entries", arr)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, type(self))
+            and self.ring == other.ring
+            and self.entries.shape == other.entries.shape
+            and bool(np.array_equal(self.entries, other.entries))
+        )
+
+    def __hash__(self):
+        return hash((self.ring, self.entries.shape, self.entries.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.ring}, {self.tolist()})"
+
+    def tolist(self) -> list:
+        return self.entries.tolist()
+
+    def _require_same_ring(self, other):
+        if self.ring != other.ring:
+            raise DimensionMismatch(f"mixed rings {self.ring} and {other.ring}")
+
+    def _require_same_shape(self, other):
+        self._require_same_ring(other)
+        if self.entries.shape != other.entries.shape:
+            raise DimensionMismatch(
+                f"shapes {self.entries.shape} and {other.entries.shape}"
+            )
+
+    def __add__(self, other):
+        self._require_same_shape(other)
+        return type(self)(self.ring, self.entries + other.entries)
+
+    def __sub__(self, other):
+        self._require_same_shape(other)
+        return type(self)(self.ring, self.entries - other.entries)
+
+    def __mul__(self, scalar: int):
+        return type(self)(self.ring, self.entries * (int(scalar) % self.ring.m))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return type(self)(self.ring, -self.entries)
+
+
+class RVector(_RArray):
+    """Immutable vector over a ring; entries canonical in [0, m)."""
+
+    _NDIM, _KIND = 1, "vector"
 
     def __len__(self) -> int:
         return self.entries.shape[0]
@@ -90,50 +143,9 @@ class RVector:
     def __iter__(self):
         return (int(v) for v in self.entries)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RVector)
-            and self.ring == other.ring
-            and self.entries.shape == other.entries.shape
-            and bool(np.array_equal(self.entries, other.entries))
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.entries.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"RVector({self.ring}, {self.tolist()})"
-
-    def tolist(self) -> list[int]:
-        return [int(v) for v in self.entries]
-
     @property
     def is_zero(self) -> bool:
         return not self.entries.any()
-
-    def _require_same_ring(self, other):
-        if self.ring != other.ring:
-            raise DimensionMismatch(f"mixed rings {self.ring} and {other.ring}")
-
-    def __add__(self, other: "RVector") -> "RVector":
-        self._require_same_ring(other)
-        if len(self) != len(other):
-            raise DimensionMismatch(f"lengths {len(self)} and {len(other)}")
-        return RVector(self.ring, self.entries + other.entries)
-
-    def __sub__(self, other: "RVector") -> "RVector":
-        self._require_same_ring(other)
-        if len(self) != len(other):
-            raise DimensionMismatch(f"lengths {len(self)} and {len(other)}")
-        return RVector(self.ring, self.entries - other.entries)
-
-    def __mul__(self, scalar: int) -> "RVector":
-        return RVector(self.ring, self.entries * (int(scalar) % self.ring.m))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "RVector":
-        return RVector(self.ring, -self.entries)
 
     def __matmul__(self, other):
         # vector @ vector -> scalar, vector @ matrix -> vector (numpy rules)
@@ -156,18 +168,10 @@ class RVector:
         return NotImplemented
 
 
-@dataclass(frozen=True, eq=False)
-class RMatrix:
+class RMatrix(_RArray):
     """Immutable matrix over a ring; entries canonical in [0, m)."""
 
-    ring: RingSpec
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = _canon(self.ring, self.entries)
-        if arr.ndim != 2:
-            raise DimensionMismatch(f"matrix must be 2-D, got shape {arr.shape}")
-        object.__setattr__(self, "entries", arr)
+    _NDIM, _KIND = 2, "matrix"
 
     @property
     def rows(self) -> int:
@@ -194,47 +198,6 @@ class RMatrix:
 
     def take_cols(self, indices: Sequence[int]) -> "RMatrix":
         return RMatrix(self.ring, self.entries[:, list(indices)])
-
-    def tolist(self) -> list[list[int]]:
-        return [[int(v) for v in row] for row in self.entries]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RMatrix)
-            and self.ring == other.ring
-            and self.entries.shape == other.entries.shape
-            and bool(np.array_equal(self.entries, other.entries))
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.shape, self.entries.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"RMatrix({self.ring}, {self.tolist()})"
-
-    def _require_same_ring(self, other):
-        if self.ring != other.ring:
-            raise DimensionMismatch(f"mixed rings {self.ring} and {other.ring}")
-
-    def __add__(self, other: "RMatrix") -> "RMatrix":
-        self._require_same_ring(other)
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"shapes {self.shape} and {other.shape}")
-        return RMatrix(self.ring, self.entries + other.entries)
-
-    def __sub__(self, other: "RMatrix") -> "RMatrix":
-        self._require_same_ring(other)
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"shapes {self.shape} and {other.shape}")
-        return RMatrix(self.ring, self.entries - other.entries)
-
-    def __mul__(self, scalar: int) -> "RMatrix":
-        return RMatrix(self.ring, self.entries * (int(scalar) % self.ring.m))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "RMatrix":
-        return RMatrix(self.ring, -self.entries)
 
     def __matmul__(self, other):
         if isinstance(other, RMatrix):
@@ -384,43 +347,17 @@ def solve_unique(a: RMatrix, b: RVector) -> RVector:
 
 def select_independent_rows(mat: RMatrix, count: int) -> list[int]:
     """Greedy lowest-index-first choice of `count` rows with full row
-    rank; returns the lexicographically first such index set.
-
-    A row is accepted iff, after reduction against the rows already
-    chosen, a unit entry survives (equivalently: appending it raises
-    the unit rank by one).
-    """
+    rank; returns the lexicographically first such index set.  A row is
+    taken iff it raises the unit rank of the rows above it, that is, iff
+    its column of mat^T is a pivot column."""
     if count < 0 or count > mat.rows:
         raise BadParameters(f"cannot select {count} rows from {mat.rows}")
-    m, p = mat.ring.m, mat.ring.p
-    chosen: list[int] = []
-    basis: list[np.ndarray] = []  # kept mutually reduced, pivots normalized to 1
-    pivot_cols: list[int] = []
-    for i in range(mat.rows):
-        if len(chosen) == count:
-            break
-        row = mat.entries[i].astype(np.int64, copy=True)
-        for b_row, pc in zip(basis, pivot_cols):
-            f = int(row[pc])
-            if f:
-                row = (row - f * b_row) % m
-        units = np.nonzero(row % p != 0)[0]
-        if units.size == 0:
-            continue
-        pc = int(units[0])
-        row = row * mat.ring.inverse(int(row[pc])) % m
-        for j, b_row in enumerate(basis):
-            f = int(b_row[pc])
-            if f:
-                basis[j] = (b_row - f * row) % m
-        basis.append(row)
-        pivot_cols.append(pc)
-        chosen.append(i)
-    if len(chosen) < count:
+    _, _, pivots = _rref(mat.ring, mat.entries.T)
+    if len(pivots) < count:
         raise NotEnoughIndependentRows(
-            f"only {len(chosen)} independent rows found, needed {count}"
+            f"only {len(pivots)} independent rows found, needed {count}"
         )
-    return chosen
+    return pivots[:count]
 
 
 def left_null_vector(mat: RMatrix) -> RVector:

@@ -14,9 +14,14 @@ output z ^ (z >> 31)
 
 Residues are drawn by rejection below the largest multiple of the
 modulus, so they are exactly uniform, not merely approximately so.
+
+Draw i depends only on seed + i * gamma, so `residues` evaluates
+blocks of draws at once in numpy uint64, which wraps like the masks.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -49,4 +54,21 @@ class SplitMix64:
                 return z % m
 
     def residues(self, count: int, m: int) -> list[int]:
-        return [self.residue(m) for _ in range(count)]
+        """`count` successive `residue(m)` draws, bit for bit."""
+        if m <= 0:
+            raise ValueError("modulus must be positive")
+        excess = (1 << 64) % m  # draws at or above 2**64 - excess are rejected
+        out: list[int] = []
+        while len(out) < count:
+            # a block of at most the missing draws is consumed whole, in
+            # order; capping it keeps the numpy temporaries small
+            block = min(count - len(out), 4096)
+            z = self._state + np.arange(1, block + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+            self._state = (self._state + block * _GAMMA) & _MASK
+            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MUL1)
+            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MUL2)
+            z ^= z >> np.uint64(31)
+            if excess:
+                z = z[z < np.uint64((1 << 64) - excess)]
+            out += (z % np.uint64(m)).tolist()
+        return out

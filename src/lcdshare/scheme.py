@@ -22,7 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .codes import LinearCode, encode, is_codeword, is_lcd
+import numpy as np
+
+from .codes import LinearCode, _random_matrix, encode, is_codeword
 from .errors import (
     BadParameters,
     DimensionMismatch,
@@ -34,8 +36,8 @@ from .errors import (
     Singular,
 )
 from .linalg import (
+    RMatrix,
     RVector,
-    right_inverse,
     select_independent_rows,
     solve_unique,
     stack_rows,
@@ -69,13 +71,15 @@ class DealRecord:
     coefficients: tuple[tuple[int, RVector], ...]
 
 
-def _check_scheme_inputs(code: LinearCode, secret: RVector) -> None:
+def _check_code(code: LinearCode) -> None:
     if 2 * code.k < code.n:
-        raise BadParameters(
-            f"scheme needs 2k >= n, got k={code.k}, n={code.n}"
-        )
-    if not is_lcd(code):
-        raise NotLcd("the code is not LCD; shares would not be recoverable")
+        raise BadParameters(f"scheme needs 2k >= n, got k={code.k}, n={code.n}")
+    if not code.lcd:
+        raise NotLcd("the code is not LCD; secrets would not be recoverable")
+
+
+def _check_scheme_inputs(code: LinearCode, secret: RVector) -> None:
+    _check_code(code)
     if secret.ring != code.ring:
         raise DimensionMismatch("secret ring differs from the code ring")
     if len(secret) != code.n:
@@ -84,15 +88,26 @@ def _check_scheme_inputs(code: LinearCode, secret: RVector) -> None:
         )
 
 
+def _deal_rows(
+    code: LinearCode, secret: RVector, coefficients: RMatrix, first_id: int
+) -> list[Share]:
+    """Shares for every coefficient row at once: C = L G, x = C s and
+    y = (L[:, :n-k] H) s, with ids counting up from first_id."""
+    words = encode(code, coefficients)
+    x = words @ secret
+    y = (coefficients.take_cols(range(code.n - code.k)) @ code.H) @ secret
+    return [
+        Share(id=first_id + i, c=words.row(i), x=x[i], y=y[i])
+        for i in range(coefficients.rows)
+    ]
+
+
 def deal_one(
     code: LinearCode, secret: RVector, coefficients: RVector, share_id: int = 1
 ) -> Share:
     """Produce a single share from an explicit coefficient row."""
     _check_scheme_inputs(code, secret)
-    c = encode(code, coefficients)
-    truncated = vector(code.ring, coefficients.tolist()[: code.n - code.k])
-    c_dual = truncated @ code.H
-    return Share(id=share_id, c=c, x=c @ secret, y=c_dual @ secret)
+    return _deal_rows(code, secret, stack_rows([coefficients]), share_id)[0]
 
 
 def deal(
@@ -116,22 +131,16 @@ def deal(
             raise BadParameters(
                 f"{len(coefficients)} coefficient rows supplied for count={count}"
             )
-        rows = list(coefficients)
+        rows = stack_rows(list(coefficients))
     else:
-        rng = SplitMix64(seed)
-        rows = [
-            vector(code.ring, rng.residues(code.k, code.ring.m))
-            for _ in range(count)
-        ]
-    shares = [
-        deal_one(code, secret, l, share_id=i + 1) for i, l in enumerate(rows)
-    ]
+        rows = _random_matrix(SplitMix64(seed), code.ring, count, code.k)
+    shares = _deal_rows(code, secret, rows, first_id=1)
     record = DealRecord(
         ring=code.ring,
         n=code.n,
         k=code.k,
         seed=seed,
-        coefficients=tuple((i + 1, l) for i, l in enumerate(rows)),
+        coefficients=tuple((i + 1, rows.row(i)) for i in range(count)),
     )
     return shares, record
 
@@ -147,42 +156,36 @@ def recover(code: LinearCode, shares: Sequence[Share]) -> RVector:
     x and y values.  Exactly k shares are consumed; extras beyond the
     selection only matter for auditing via verify_share.
     """
-    if 2 * code.k < code.n:
-        raise BadParameters(f"scheme needs 2k >= n, got k={code.k}, n={code.n}")
-    if not is_lcd(code):
-        raise NotLcd("the code is not LCD; recovery is not defined")
+    _check_code(code)
     n, k = code.n, code.k
     for share in shares:
         if share.c.ring != code.ring or len(share.c) != n:
             raise DimensionMismatch(f"share {share.id} does not match the code")
-        if not is_codeword(code, share.c):
-            raise InvalidShare(f"share {share.id}: c is not a codeword")
+    if shares:
+        c_matrix = stack_rows([share.c for share in shares])
+        bad = np.flatnonzero((c_matrix @ code.H.T).entries.any(axis=1))
+        if bad.size:
+            raise InvalidShare(f"share {shares[bad[0]].id}: c is not a codeword")
     if len(shares) < k:
         raise NotEnoughIndependentShares(
             f"{len(shares)} shares supplied, need at least k={k}"
         )
-    c_matrix = stack_rows([share.c for share in shares])
     try:
         picked = select_independent_rows(c_matrix, k)
     except NotEnoughIndependentRows as exc:
         raise NotEnoughIndependentShares(str(exc)) from exc
     selected = [shares[i] for i in picked]
 
-    g_inv = right_inverse(code.G)
-    l_rows = stack_rows([share.c @ g_inv for share in selected])
-    truncated = l_rows.take_cols(range(n - k))
+    words = c_matrix.take_rows(picked)
+    truncated = (words @ code.G_plus).take_cols(range(n - k))
     try:
         dual_picks = select_independent_rows(truncated, n - k)
     except NotEnoughIndependentRows as exc:
         # impossible for a valid LCD code; inputs must be corrupted
         raise InternalSingular(str(exc)) from exc
 
-    equations = [share.c for share in selected]
-    values = [share.x for share in selected]
-    for j in dual_picks:
-        equations.append(truncated.row(j) @ code.H)
-        values.append(selected[j].y)
-    system = stack_rows(equations)
+    system = stack_rows([words, truncated.take_rows(dual_picks) @ code.H])
+    values = [share.x for share in selected] + [selected[j].y for j in dual_picks]
     try:
         return solve_unique(system, vector(code.ring, values))
     except Singular as exc:
@@ -192,9 +195,9 @@ def recover(code: LinearCode, shares: Sequence[Share]) -> RVector:
 def verify_share(code: LinearCode, secret: RVector, share: Share) -> bool:
     """Audit one share against a candidate secret.
 
-    True iff c is a codeword, x matches c . s, and y matches the dual
-    word rebuilt from c (the coefficient row is c G^+, which equals the
-    dealer's l exactly because G G^+ is the identity).
+    True iff c is a codeword, x matches c . s, and y matches c . (D s)
+    for the code's dual map D: for a codeword c = l G that is the dual
+    word l[:n-k] H dotted with s, because c G^+ = l exactly.
     """
     _check_scheme_inputs(code, secret)
     if share.c.ring != code.ring or len(share.c) != code.n:
@@ -203,6 +206,4 @@ def verify_share(code: LinearCode, secret: RVector, share: Share) -> bool:
         return False
     if (share.c @ secret) != share.x % code.ring.m:
         return False
-    l_row = share.c @ right_inverse(code.G)
-    truncated = vector(code.ring, l_row.tolist()[: code.n - code.k])
-    return (truncated @ code.H) @ secret == share.y % code.ring.m
+    return share.c @ (code.dual_map @ secret) == share.y % code.ring.m

@@ -349,10 +349,20 @@ def select_independent_rows(mat: RMatrix, count: int) -> list[int]:
     """Greedy lowest-index-first choice of `count` rows with full row
     rank; returns the lexicographically first such index set.  A row is
     taken iff it raises the unit rank of the rows above it, that is, iff
-    its column of mat^T is a pivot column."""
+    its column of mat^T is a pivot column.
+
+    Whether a column is a pivot depends only on the columns before it,
+    so a prefix of the rows is eliminated first and doubled until it
+    holds `count` pivots; a long stack of shares is rarely read whole.
+    """
     if count < 0 or count > mat.rows:
         raise BadParameters(f"cannot select {count} rows from {mat.rows}")
-    _, _, pivots = _rref(mat.ring, mat.entries.T)
+    size = count
+    while True:
+        _, _, pivots = _rref(mat.ring, mat.entries[:size].T)
+        if len(pivots) >= count or size >= mat.rows:
+            break
+        size = min(2 * size, mat.rows)
     if len(pivots) < count:
         raise NotEnoughIndependentRows(
             f"only {len(pivots)} independent rows found, needed {count}"

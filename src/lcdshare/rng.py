@@ -16,7 +16,8 @@ Residues are drawn by rejection below the largest multiple of the
 modulus, so they are exactly uniform, not merely approximately so.
 
 Draw i depends only on seed + i * gamma, so `residues` evaluates
-blocks of draws at once in numpy uint64, which wraps like the masks.
+blocks of draws at once in numpy uint64, which wraps modulo 2**64 as the
+recurrence requires.
 """
 
 from __future__ import annotations
@@ -35,26 +36,12 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._state = seed & _MASK
 
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MUL1) & _MASK
-        z = ((z ^ (z >> 27)) * _MUL2) & _MASK
-        return z ^ (z >> 31)
-
     def residue(self, m: int) -> int:
         """Uniform draw from {0, ..., m-1}; m must be positive."""
-        if m <= 0:
-            raise ValueError("modulus must be positive")
-        # largest multiple of m that fits in 64 bits
-        bound = (1 << 64) - ((1 << 64) % m)
-        while True:
-            z = self.next_u64()
-            if z < bound:
-                return z % m
+        return self.residues(1, m)[0]
 
     def residues(self, count: int, m: int) -> list[int]:
-        """`count` successive `residue(m)` draws, bit for bit."""
+        """`count` successive uniform draws from {0, ..., m-1}."""
         if m <= 0:
             raise ValueError("modulus must be positive")
         excess = (1 << 64) % m  # draws at or above 2**64 - excess are rejected

@@ -158,14 +158,18 @@ def recover(code: LinearCode, shares: Sequence[Share]) -> RVector:
     """
     _check_code(code)
     n, k = code.n, code.k
-    for share in shares:
-        if share.c.ring != code.ring or len(share.c) != n:
-            raise DimensionMismatch(f"share {share.id} does not match the code")
-    if shares:
-        c_matrix = stack_rows([share.c for share in shares])
+    # shares fail in order: a non-codeword before the first foreign
+    # share is reported as such, exactly as a per-share loop would
+    fits = [share.c.ring == code.ring and len(share.c) == n for share in shares]
+    first_foreign = fits.index(False) if False in fits else len(shares)
+    if first_foreign:
+        c_matrix = stack_rows([share.c for share in shares[:first_foreign]])
         bad = np.flatnonzero((c_matrix @ code.H.T).entries.any(axis=1))
         if bad.size:
             raise InvalidShare(f"share {shares[bad[0]].id}: c is not a codeword")
+    if first_foreign < len(shares):
+        foreign = shares[first_foreign].id
+        raise DimensionMismatch(f"share {foreign} does not match the code")
     if len(shares) < k:
         raise NotEnoughIndependentShares(
             f"{len(shares)} shares supplied, need at least k={k}"

@@ -18,7 +18,7 @@ from lcdshare import (
     vector,
     verify_share,
 )
-from lcdshare.errors import InvalidShare
+from lcdshare.errors import DimensionMismatch, InvalidShare
 
 MASK = (1 << 64) - 1
 MODULI = [2, 4, 256, 65521, 2**31 - 1, 3**19, 3 * 2**62, 2**63 + 1]
@@ -129,3 +129,23 @@ def test_recover_names_the_first_bad_share(z256_code):
         forged[i] = Share(shares[i].id, vector(code.ring, bad), shares[i].x, shares[i].y)
     with pytest.raises(InvalidShare, match=r"^share 5: c is not a codeword$"):
         recover(code, forged)
+
+
+def test_recover_reports_shares_in_order(z256_code):
+    code = z256_code
+    secret = vector(code.ring, [1] * code.n)
+    shares, _ = deal(code, secret, count=12, seed=4)
+    bad = shares[2].c.tolist()
+    bad[0] = (bad[0] + 1) % code.ring.m
+    forged = Share(shares[2].id, vector(code.ring, bad), shares[2].x, shares[2].y)
+    short = Share(shares[6].id, vector(code.ring, [0] * (code.n - 1)), 0, 0)
+    mixed = list(shares)
+    mixed[2], mixed[6] = forged, short
+    with pytest.raises(InvalidShare, match=r"^share 3: c is not a codeword$"):
+        recover(code, mixed)
+    mixed[2] = shares[2]
+    with pytest.raises(DimensionMismatch, match=r"^share 7 does not match the code$"):
+        recover(code, mixed)
+    mixed[9] = forged
+    with pytest.raises(DimensionMismatch, match=r"^share 7 does not match the code$"):
+        recover(code, mixed)

@@ -60,7 +60,7 @@ from .linalg import (
 )
 from .ring import ElementKind, RingSpec, classify, inverse, is_prime, make_ring, parse_ring_label
 from .rng import SplitMix64
-from .scheme import DealRecord, Share, deal, deal_one, recover, verify_share
+from .scheme import DealRecord, Share, deal, deal_one, recover, verify_share, verify_shares
 
 __version__ = "0.1.0"
 
@@ -114,6 +114,7 @@ __all__ = [
     "unit_rank",
     "vector",
     "verify_share",
+    "verify_shares",
     "write_code",
     "write_deal_record",
     "write_secret",

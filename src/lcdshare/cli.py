@@ -29,7 +29,7 @@ from .io_formats import (
 )
 from .linalg import RVector, vector
 from .ring import parse_ring_label
-from .scheme import deal, recover, verify_share
+from .scheme import deal, recover, verify_shares
 
 REMEDIES = {
     "NotPrime": "the ring must be Z_p^e with p prime; pick a prime p",
@@ -136,12 +136,15 @@ def _cmd_deal(args) -> int:
     return 0
 
 
-def _cmd_recover(args) -> int:
-    code = read_code(args.code)
-    share_file = read_shares(args.shares)
+def _read_code_and_shares(args):
+    code, share_file = read_code(args.code), read_shares(args.shares)
     if share_file.ring != code.ring or share_file.n != code.n:
         raise ValidationError("shares file does not match the code's ring and length")
-    shares = list(share_file.shares)
+    return code, share_file.shares
+
+
+def _cmd_recover(args) -> int:
+    code, shares = _read_code_and_shares(args)
     if args.ids:
         wanted = _parse_csv_ints(args.ids, "--ids")
         if len(set(wanted)) != len(wanted):
@@ -162,18 +165,14 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    code = read_code(args.code)
-    share_file = read_shares(args.shares)
-    if share_file.ring != code.ring or share_file.n != code.n:
-        raise ValidationError("shares file does not match the code's ring and length")
+    code, shares = _read_code_and_shares(args)
     secret = read_secret(args.secret)
     if secret.ring != code.ring or len(secret) != code.n:
         raise ValidationError("secret file does not match the code's ring and length")
-    failures = 0
-    for share in share_file.shares:
-        ok = verify_share(code, secret, share)
+    verdicts = verify_shares(code, secret, shares)
+    for share, ok in zip(shares, verdicts):
         print(f"share {share.id}: {'ok' if ok else 'FAIL'}")
-        failures += 0 if ok else 1
+    failures = verdicts.count(False)
     if failures:
         print(f"error: {failures} share(s) failed verification", file=sys.stderr)
         return 1

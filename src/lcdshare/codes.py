@@ -11,7 +11,7 @@ intersects them, so the two must agree and can cross-check each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -25,6 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import RMatrix, RVector, _rref, is_full_row_rank, right_inverse, stack_rows
+from .linalg import _right_inverse_from
 from .ring import RingSpec
 from .rng import SplitMix64
 
@@ -43,6 +44,8 @@ class LinearCode:
 
     G^+, the LCD verdict and the dual map are cached on first use; they
     cannot go stale, as the dataclass is frozen and G, H are read-only.
+    A caller that has eliminated G may pass its right inverse as
+    _known_G_plus; validate() checks G G^+ = I for it as for any G^+.
     """
 
     ring: RingSpec
@@ -50,8 +53,11 @@ class LinearCode:
     k: int
     G: RMatrix
     H: RMatrix
+    _known_G_plus: InitVar[RMatrix | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _known_G_plus):
+        if _known_G_plus is not None:
+            self.__dict__["G_plus"] = _known_G_plus
         self.validate()
 
     def validate(self) -> None:
@@ -67,10 +73,12 @@ class LinearCode:
             raise ValidationError(
                 f"H has shape {self.H.shape}, expected {(self.n - self.k, self.n)}"
             )
-        try:
-            self.G_plus  # the elimination that proves full row rank
-        except NotFullRowRank:
-            raise ValidationError("G is not full row rank") from None
+        try:  # a right inverse, however it was found, proves full row rank
+            inverts = self.G @ self.G_plus == RMatrix.identity(self.ring, self.k)
+        except (NotFullRowRank, DimensionMismatch):
+            inverts = False
+        if not inverts:
+            raise ValidationError("G is not full row rank")
         if not is_full_row_rank(self.H):
             raise ValidationError("H is not full row rank")
         syndromes = self.G @ self.H.T
@@ -102,10 +110,11 @@ def parity_check_from_generator(generator: RMatrix) -> LinearCode:
     and an identity on the remaining columns yields a full-row-rank H
     with G H^T = 0.  Column swaps are implicit: pivot columns need not
     be the leading ones, and H comes back in the original column order.
+    The same elimination gives the code its G^+.
     """
     ring = generator.ring
     k, n = generator.rows, generator.cols
-    E, _, pivots = _rref(ring, generator.entries)
+    E, U, pivots = _rref(ring, generator.entries)
     if len(pivots) < k:
         raise NotFullRowRank(
             f"generator has unit rank {len(pivots)} < {k}; cannot derive parity check"
@@ -114,7 +123,8 @@ def parity_check_from_generator(generator: RMatrix) -> LinearCode:
     H = np.zeros((n - k, n), dtype=np.int64)
     H[:, others] = np.eye(n - k, dtype=np.int64)
     H[:, pivots] = -E[:k, others].T
-    return LinearCode(ring=ring, n=n, k=k, G=generator, H=RMatrix(ring, H))
+    G_plus = _right_inverse_from(ring, U, pivots, n)
+    return LinearCode(ring, n, k, generator, RMatrix(ring, H), _known_G_plus=G_plus)
 
 
 def encode(code: LinearCode, coefficients: RVector | RMatrix) -> RVector | RMatrix:

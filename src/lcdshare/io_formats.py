@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -31,13 +32,16 @@ import numpy as np
 
 from .codes import LinearCode
 from .errors import LcdshareError, ParseError, ValidationError
-from .linalg import RMatrix, RVector, vector
+from .linalg import RMatrix, RVector
 from .ring import RingSpec, make_ring
 from .scheme import DealRecord, Share
 
 FORMAT_VERSION = 1
 
 Target = Union[str, Path, object]
+
+_TYPE_NAMES = {int: "an integer", dict: "an object", list: "an array"}
+_LENGTH = "{row} has length {got}, expected n={width}"
 
 
 @dataclass(frozen=True)
@@ -54,88 +58,42 @@ class ShareFile:
 # ---------------------------------------------------------------- writing
 
 
-def _dump(document: dict) -> bytes:
-    return (json.dumps(document, indent=2) + "\n").encode("utf-8")
-
-
-def _write_bytes(target: Target, data: bytes, overwrite: bool) -> None:
+def _write(target: Target, overwrite: bool, ring: RingSpec, **fields) -> None:
+    """Write one document: format_version and ring, then `fields` in
+    order, as two-space indented JSON with a trailing newline."""
+    document = {"format_version": FORMAT_VERSION, "ring": {"p": ring.p, "e": ring.e}}
+    data = (json.dumps({**document, **fields}, indent=2) + "\n").encode("utf-8")
     if hasattr(target, "write"):
         target.write(data)
         return
-    mode = "wb" if overwrite else "xb"
-    with open(target, mode) as handle:
+    with open(target, "wb" if overwrite else "xb") as handle:
         handle.write(data)
 
 
-def _ring_doc(ring: RingSpec) -> dict:
-    return {"p": ring.p, "e": ring.e}
-
-
-def code_to_document(code: LinearCode) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "ring": _ring_doc(code.ring),
-        "n": code.n,
-        "k": code.k,
-        "G": code.G.tolist(),
-        "H": code.H.tolist(),
-    }
-
-
-def shares_to_document(share_file: ShareFile) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "ring": _ring_doc(share_file.ring),
-        "n": share_file.n,
-        "shares": [
-            {"id": s.id, "c": s.c.tolist(), "x": s.x, "y": s.y}
-            for s in share_file.shares
-        ],
-    }
-
-
-def secret_to_document(secret: RVector) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "ring": _ring_doc(secret.ring),
-        "n": len(secret),
-        "secret": {"s": secret.tolist()},
-    }
-
-
-def deal_record_to_document(record: DealRecord) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "ring": _ring_doc(record.ring),
-        "n": record.n,
-        "k": record.k,
-        "deal": {
-            "seed": record.seed,
-            "l": [
-                {"id": pid, "l": row.tolist()} for pid, row in record.coefficients
-            ],
-        },
-    }
-
-
 def write_code(target: Target, code: LinearCode, *, overwrite: bool = False) -> None:
-    _write_bytes(target, _dump(code_to_document(code)), overwrite)
+    G, H = code.G.tolist(), code.H.tolist()
+    _write(target, overwrite, code.ring, n=code.n, k=code.k, G=G, H=H)
 
 
 def write_shares(
     target: Target, share_file: ShareFile, *, overwrite: bool = False
 ) -> None:
-    _write_bytes(target, _dump(shares_to_document(share_file)), overwrite)
+    shares = [
+        {"id": s.id, "c": s.c.tolist(), "x": s.x, "y": s.y} for s in share_file.shares
+    ]
+    _write(target, overwrite, share_file.ring, n=share_file.n, shares=shares)
 
 
 def write_secret(target: Target, secret: RVector, *, overwrite: bool = False) -> None:
-    _write_bytes(target, _dump(secret_to_document(secret)), overwrite)
+    _write(target, overwrite, secret.ring, n=len(secret), secret={"s": secret.tolist()})
 
 
 def write_deal_record(
     target: Target, record: DealRecord, *, overwrite: bool = False
 ) -> None:
-    _write_bytes(target, _dump(deal_record_to_document(record)), overwrite)
+    rows = [{"id": pid, "l": row.tolist()} for pid, row in record.coefficients]
+    deal = {"seed": record.seed, "l": rows}
+    _write(target, overwrite, record.ring, n=record.n, k=record.k, deal=deal)
 
 
 # ---------------------------------------------------------------- parsing
@@ -149,12 +107,14 @@ def _read_bytes(source: Target) -> bytes:
 
 
 def _reject_duplicate_keys(pairs):
-    seen = set()
-    for key, _ in pairs:
-        if key in seen:
-            raise ParseError(f"duplicate field {key!r}")
-        seen.add(key)
-    return dict(pairs)
+    document = dict(pairs)
+    if len(document) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"duplicate field {key!r}")
+            seen.add(key)
+    return document
 
 
 def _parse(source: Target) -> dict:
@@ -183,168 +143,163 @@ def _expect_fields(obj: dict, fields: Sequence[str], where: str) -> None:
         raise ParseError(f"{where}: unknown field {unknown[0]!r}")
 
 
-def _as_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{where}: expected an integer")
+def _expect(value, kind: type, where: str):
+    """value itself, if its JSON type is kind; a bool is not an int."""
+    if type(value) is not kind:
+        raise ParseError(f"{where}: expected {_TYPE_NAMES[kind]}")
     return value
 
 
-def _as_object(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ParseError(f"{where}: expected an object")
-    return value
-
-
-def _as_list(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise ParseError(f"{where}: expected an array")
-    return value
-
-
-def _int_list(value, where: str) -> list[int]:
-    return [_as_int(v, f"{where}[{i}]") for i, v in enumerate(_as_list(value, where))]
-
-
-def _check_version(document: dict, where: str) -> None:
-    version = _as_int(document.get("format_version"), f"{where}.format_version")
+def _document(source: Target, kind: str, *fields: str) -> tuple[dict, RingSpec, int]:
+    """Parse a document and check the part every kind shares: its field
+    set, format_version, ring and n."""
+    document = _parse(source)
+    _expect_fields(document, ("format_version", "ring", "n") + fields, kind)
+    version = _expect(document.get("format_version"), int, f"{kind}.format_version")
     if version != FORMAT_VERSION:
-        raise ParseError(f"{where}: unsupported format_version {version}")
-
-
-def _parse_ring(document: dict, where: str) -> RingSpec:
-    ring_obj = _as_object(document.get("ring"), f"{where}.ring")
-    _expect_fields(ring_obj, ("p", "e"), f"{where}.ring")
-    p = _as_int(ring_obj["p"], f"{where}.ring.p")
-    e = _as_int(ring_obj["e"], f"{where}.ring.e")
+        raise ParseError(f"{kind}: unsupported format_version {version}")
+    ring_obj = _expect(document.get("ring"), dict, f"{kind}.ring")
+    _expect_fields(ring_obj, ("p", "e"), f"{kind}.ring")
+    p = _expect(ring_obj["p"], int, f"{kind}.ring.p")
+    e = _expect(ring_obj["e"], int, f"{kind}.ring.e")
     try:
-        return make_ring(p, e)
+        ring = make_ring(p, e)
     except LcdshareError as exc:
-        raise ValidationError(f"{where}.ring: {exc}") from exc
+        raise ValidationError(f"{kind}.ring: {exc}") from exc
+    return document, ring, _expect(document["n"], int, f"{kind}.n")
 
 
-def _check_residues(values: Sequence[int], m: int, where: str) -> None:
-    for i, v in enumerate(values):
-        if not 0 <= v < m:
-            raise ValidationError(f"{where}[{i}]: residue {v} out of range 0..{m - 1}")
+def _int_rows(rows: list, row: str) -> None:
+    """Every row an array and every entry an integer, not a bool; row i
+    is named row.format(i=i), e.g. "G[{i}]"."""
+    if set(map(type, rows)) <= {list} and set(
+        map(type, chain.from_iterable(rows))
+    ) <= {int}:
+        return
+    for i, values in enumerate(rows):
+        _expect(values, list, row.format(i=i))
+        for j, v in enumerate(values):
+            _expect(v, int, f"{row.format(i=i)}[{j}]")
+
+
+def _residue_block(rows: list, width: int, m: int, row: str, length: str = _LENGTH):
+    """The one validator of residue rows: each an array of `width`
+    integers in 0..m-1.  Returns them as one int64 array, of shape
+    (len(rows), width) unless rows is empty.
+
+    Each check is one pass over the whole block: a set of entry types,
+    a set of row lengths, one array and its min and max.  Only a block
+    that fails is walked entry by entry, to name the first bad entry in
+    the order a per-entry reader meets it: all types first, then row by
+    row its length and its range.  `length` formats the wrong-length
+    message from row, i, got and width.
+    """
+    _int_rows(rows, row)
+    if set(map(len, rows)) <= {width}:
+        try:
+            block = np.array(rows, dtype=np.int64)
+            if not block.size or (block.min() >= 0 and block.max() < m):
+                return block
+        except OverflowError:
+            pass  # an entry beyond int64, named below as out of range
+    for i, values in enumerate(rows):
+        name = row.format(i=i)
+        if len(values) != width:
+            raise ValidationError(
+                length.format(row=name, i=i, got=len(values), width=width)
+            )
+        for j, v in enumerate(values):
+            if not 0 <= v < m:
+                raise ValidationError(
+                    f"{name}[{j}]: residue {v} out of range 0..{m - 1}"
+                )
+    raise AssertionError("a block that fails a check has a first bad entry")
+
+
+def _unique_ids(entries: list[dict]) -> list[int]:
+    ids = [obj["id"] for obj in entries]
+    if len(set(ids)) != len(ids):
+        seen: set[int] = set()
+        first = next(pid for pid in ids if pid in seen or seen.add(pid))
+        raise ValidationError(f"duplicate participant id {first}")
+    return ids
 
 
 def read_code(source: Target) -> LinearCode:
-    document = _parse(source)
-    _expect_fields(
-        document, ("format_version", "ring", "n", "k", "G", "H"), "code document"
-    )
-    _check_version(document, "code document")
-    ring = _parse_ring(document, "code document")
-    n = _as_int(document["n"], "code document.n")
-    k = _as_int(document["k"], "code document.k")
+    document, ring, n = _document(source, "code document", "k", "G", "H")
+    k = _expect(document["k"], int, "code document.k")
     if n < 1:
         raise ValidationError(f"length n must be >= 1, got {n}")
-    g_rows = [_int_list(row, f"G[{i}]") for i, row in enumerate(_as_list(document["G"], "G"))]
-    h_rows = [_int_list(row, f"H[{i}]") for i, row in enumerate(_as_list(document["H"], "H"))]
+    g_rows = _expect(document["G"], list, "G")
+    _int_rows(g_rows, "G[{i}]")
+    h_rows = _expect(document["H"], list, "H")
+    _int_rows(h_rows, "H[{i}]")
     if len(g_rows) != k:
         raise ValidationError(f"G has {len(g_rows)} rows, expected k={k}")
     if len(h_rows) != n - k:
         raise ValidationError(f"H has {len(h_rows)} rows, expected n-k={n - k}")
-    for label, rows in (("G", g_rows), ("H", h_rows)):
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ValidationError(
-                    f"{label}[{i}] has length {len(row)}, expected n={n}"
-                )
-            _check_residues(row, ring.m, f"{label}[{i}]")
-    G = RMatrix(ring, np.array(g_rows, dtype=np.int64).reshape(len(g_rows), n))
-    H = RMatrix(ring, np.array(h_rows, dtype=np.int64).reshape(len(h_rows), n))
-    return LinearCode(ring=ring, n=n, k=k, G=G, H=H)
-
-
-def _parse_share(obj, ring: RingSpec, n: int, where: str) -> Share:
-    share_obj = _as_object(obj, where)
-    _expect_fields(share_obj, ("id", "c", "x", "y"), where)
-    pid = _as_int(share_obj["id"], f"{where}.id")
-    if pid < 1:
-        raise ValidationError(f"{where}: participant id must be >= 1, got {pid}")
-    c = _int_list(share_obj["c"], f"{where}.c")
-    if len(c) != n:
-        raise ValidationError(f"{where}: c has length {len(c)}, expected n={n}")
-    _check_residues(c, ring.m, f"{where}.c")
-    x = _as_int(share_obj["x"], f"{where}.x")
-    y = _as_int(share_obj["y"], f"{where}.y")
-    _check_residues([x], ring.m, f"{where}.x")
-    _check_residues([y], ring.m, f"{where}.y")
-    return Share(id=pid, c=vector(ring, c), x=x, y=y)
+    G = _residue_block(g_rows, n, ring.m, "G[{i}]").reshape(k, n)
+    H = _residue_block(h_rows, n, ring.m, "H[{i}]").reshape(n - k, n)
+    return LinearCode(ring=ring, n=n, k=k, G=RMatrix(ring, G), H=RMatrix(ring, H))
 
 
 def read_shares(source: Target) -> ShareFile:
-    document = _parse(source)
-    _expect_fields(
-        document, ("format_version", "ring", "n", "shares"), "shares document"
-    )
-    _check_version(document, "shares document")
-    ring = _parse_ring(document, "shares document")
-    n = _as_int(document["n"], "shares document.n")
+    document, ring, n = _document(source, "shares document", "shares")
     if n < 1:
         raise ValidationError(f"length n must be >= 1, got {n}")
-    entries = _as_list(document["shares"], "shares")
-    shares = [
-        _parse_share(obj, ring, n, f"shares[{i}]") for i, obj in enumerate(entries)
-    ]
-    seen: set[int] = set()
-    for share in shares:
-        if share.id in seen:
-            raise ValidationError(f"duplicate participant id {share.id}")
-        seen.add(share.id)
+    entries = _expect(document["shares"], list, "shares")
+    for i, obj in enumerate(entries):
+        where = f"shares[{i}]"
+        _expect_fields(_expect(obj, dict, where), ("id", "c", "x", "y"), where)
+        pid = _expect(obj["id"], int, f"{where}.id")
+        if pid < 1:
+            raise ValidationError(f"{where}: participant id must be >= 1, got {pid}")
+    words = _residue_block(
+        [obj["c"] for obj in entries], n, ring.m, "shares[{i}].c",
+        "shares[{i}]: c has length {got}, expected n={width}",
+    )
+    for i, obj in enumerate(entries):
+        xy = [_expect(obj[key], int, f"shares[{i}].{key}") for key in ("x", "y")]
+        for key, v in zip("xy", xy):
+            if not 0 <= v < ring.m:
+                raise ValidationError(
+                    f"shares[{i}].{key}[0]: residue {v} out of range 0..{ring.m - 1}"
+                )
+    ids = _unique_ids(entries)
+    shares = (
+        Share(id=pid, c=RVector(ring, c), x=obj["x"], y=obj["y"])
+        for pid, c, obj in zip(ids, words, entries)
+    )
     return ShareFile(ring=ring, n=n, shares=tuple(shares))
 
 
 def read_secret(source: Target) -> RVector:
-    document = _parse(source)
-    _expect_fields(
-        document, ("format_version", "ring", "n", "secret"), "secret document"
-    )
-    _check_version(document, "secret document")
-    ring = _parse_ring(document, "secret document")
-    n = _as_int(document["n"], "secret document.n")
-    secret_obj = _as_object(document["secret"], "secret")
+    document, ring, n = _document(source, "secret document", "secret")
+    secret_obj = _expect(document["secret"], dict, "secret")
     _expect_fields(secret_obj, ("s",), "secret")
-    values = _int_list(secret_obj["s"], "secret.s")
-    if len(values) != n:
-        raise ValidationError(f"secret.s has length {len(values)}, expected n={n}")
-    _check_residues(values, ring.m, "secret.s")
-    return vector(ring, values)
+    values = _expect(secret_obj["s"], list, "secret.s")
+    return RVector(ring, _residue_block([values], n, ring.m, "secret.s")[0])
 
 
 def read_deal_record(source: Target) -> DealRecord:
-    document = _parse(source)
-    _expect_fields(
-        document, ("format_version", "ring", "n", "k", "deal"), "deal record"
-    )
-    _check_version(document, "deal record")
-    ring = _parse_ring(document, "deal record")
-    n = _as_int(document["n"], "deal record.n")
-    k = _as_int(document["k"], "deal record.k")
+    document, ring, n = _document(source, "deal record", "k", "deal")
+    k = _expect(document["k"], int, "deal record.k")
     if not 1 <= k <= n:
         raise ValidationError(f"dimension k={k} outside 1..n={n}")
-    deal_obj = _as_object(document["deal"], "deal")
+    deal_obj = _expect(document["deal"], dict, "deal")
     _expect_fields(deal_obj, ("seed", "l"), "deal")
-    seed = _as_int(deal_obj["seed"], "deal.seed")
+    seed = _expect(deal_obj["seed"], int, "deal.seed")
     if seed < 0:
         raise ValidationError(f"deal.seed must be >= 0, got {seed}")
-    rows = []
-    seen: set[int] = set()
-    for i, obj in enumerate(_as_list(deal_obj["l"], "deal.l")):
-        row_obj = _as_object(obj, f"deal.l[{i}]")
-        _expect_fields(row_obj, ("id", "l"), f"deal.l[{i}]")
-        pid = _as_int(row_obj["id"], f"deal.l[{i}].id")
-        if pid < 1:
+    entries = _expect(deal_obj["l"], list, "deal.l")
+    for i, obj in enumerate(entries):
+        _expect_fields(_expect(obj, dict, f"deal.l[{i}]"), ("id", "l"), f"deal.l[{i}]")
+        if _expect(obj["id"], int, f"deal.l[{i}].id") < 1:
             raise ValidationError(f"deal.l[{i}]: participant id must be >= 1")
-        if pid in seen:
-            raise ValidationError(f"duplicate participant id {pid}")
-        seen.add(pid)
-        values = _int_list(row_obj["l"], f"deal.l[{i}].l")
-        if len(values) != k:
-            raise ValidationError(
-                f"deal.l[{i}].l has length {len(values)}, expected k={k}"
-            )
-        _check_residues(values, ring.m, f"deal.l[{i}].l")
-        rows.append((pid, vector(ring, values)))
-    return DealRecord(ring=ring, n=n, k=k, seed=seed, coefficients=tuple(rows))
+    ids = _unique_ids(entries)
+    rows = _residue_block(
+        [obj["l"] for obj in entries], k, ring.m, "deal.l[{i}].l",
+        "{row} has length {got}, expected k={width}",
+    )
+    coefficients = tuple((pid, RVector(ring, row)) for pid, row in zip(ids, rows))
+    return DealRecord(ring=ring, n=n, k=k, seed=seed, coefficients=coefficients)

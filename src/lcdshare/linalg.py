@@ -257,7 +257,7 @@ def stack_rows(parts: Sequence[Union[RVector, RMatrix]]) -> RMatrix:
     return RMatrix(ring, np.vstack(blocks))
 
 
-def _rref(ring: RingSpec, a: np.ndarray):
+def _rref(ring: RingSpec, a: np.ndarray, pivots_only: bool = False):
     """Reduced row echelon form using unit pivots only.
 
     Returns (E, U, pivots) with U @ a == E (mod m), U invertible, and
@@ -265,12 +265,15 @@ def _rref(ring: RingSpec, a: np.ndarray):
     that end without a pivot consist entirely of nilpotent entries.
 
     Pivot choice is deterministic: first eligible column, topmost unit
-    entry within it.
+    entry within it.  The search reads only the rows below the pivots
+    found so far, so with pivots_only the elimination skips U (returned
+    as None) and the rows above each pivot, and yields the same pivots
+    from a plain echelon form E.
     """
     m, p = ring.m, ring.p
     rows, cols = a.shape
     E = a.astype(np.int64, copy=True) % m
-    U = np.eye(rows, dtype=np.int64)
+    U = None if pivots_only else np.eye(rows, dtype=np.int64)
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -282,14 +285,19 @@ def _rref(ring: RingSpec, a: np.ndarray):
         i = r + int(hits[0])
         if i != r:
             E[[r, i]] = E[[i, r]]
-            U[[r, i]] = U[[i, r]]
+            if U is not None:
+                U[[r, i]] = U[[i, r]]
         inv = ring.inverse(int(E[r, c]))
         E[r] = E[r] * inv % m
-        U[r] = U[r] * inv % m
-        factors = E[:, c].copy()
-        factors[r] = 0
-        E = (E - np.outer(factors, E[r])) % m
-        U = (U - np.outer(factors, U[r])) % m
+        if pivots_only:
+            below = E[r + 1 :, c:]
+            below[:] = (below - np.outer(below[:, 0], E[r, c:])) % m
+        else:
+            U[r] = U[r] * inv % m
+            factors = E[:, c].copy()
+            factors[r] = 0
+            E = (E - np.outer(factors, E[r])) % m
+            U = (U - np.outer(factors, U[r])) % m
         pivots.append(c)
         r += 1
     return E, U, pivots
@@ -298,7 +306,7 @@ def _rref(ring: RingSpec, a: np.ndarray):
 def unit_rank(mat: RMatrix) -> int:
     """Number of unit pivots; the size of the largest invertible
     square submatrix."""
-    _, _, pivots = _rref(mat.ring, mat.entries)
+    _, _, pivots = _rref(mat.ring, mat.entries, pivots_only=True)
     return len(pivots)
 
 
@@ -320,10 +328,15 @@ def right_inverse(mat: RMatrix) -> RMatrix:
         raise NotFullRowRank(
             f"matrix has unit rank {len(pivots)} < {k} rows; no right inverse"
         )
-    N = np.zeros((n, k), dtype=np.int64)
-    for i, c in enumerate(pivots):
-        N[c, :] = U[i, :]
-    return RMatrix(mat.ring, N)
+    return _right_inverse_from(mat.ring, U, pivots, n)
+
+
+def _right_inverse_from(ring: RingSpec, U: np.ndarray, pivots: list[int], n: int) -> RMatrix:
+    """The right inverse that the elimination U @ G = E of a full-row-rank
+    k x n matrix G determines: row i of U at row pivots[i], zeros elsewhere."""
+    N = np.zeros((n, len(pivots)), dtype=np.int64)
+    N[pivots, :] = U
+    return RMatrix(ring, N)
 
 
 def solve_unique(a: RMatrix, b: RVector) -> RVector:
@@ -359,7 +372,7 @@ def select_independent_rows(mat: RMatrix, count: int) -> list[int]:
         raise BadParameters(f"cannot select {count} rows from {mat.rows}")
     size = count
     while True:
-        _, _, pivots = _rref(mat.ring, mat.entries[:size].T)
+        _, _, pivots = _rref(mat.ring, mat.entries[:size].T, pivots_only=True)
         if len(pivots) >= count or size >= mat.rows:
             break
         size = min(2 * size, mat.rows)

@@ -86,6 +86,8 @@ def make_ring(p: int, e: int) -> RingSpec:
         raise BadParameters(f"exponent must be >= 1, got {e}")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
+    if e * p.bit_length() > 14_000:  # p**e has 4,000+ digits: too slow to build and print
+        raise Overflow(f"{p}^{e} exceeds the supported bound {MAX_MODULUS}")
     m = p**e
     if m > MAX_MODULUS:
         raise Overflow(f"{p}^{e} = {m} exceeds the supported bound {MAX_MODULUS}")

@@ -211,3 +211,23 @@ def verify_share(code: LinearCode, secret: RVector, share: Share) -> bool:
     if (share.c @ secret) != share.x % code.ring.m:
         return False
     return share.c @ (code.dual_map @ secret) == share.y % code.ring.m
+
+
+def verify_shares(
+    code: LinearCode, secret: RVector, shares: Sequence[Share]
+) -> list[bool]:
+    """verify_share for every share, with one product per check: the
+    syndromes C H^T, C s against x and C (D s) against y."""
+    _check_scheme_inputs(code, secret)
+    m = code.ring.m
+    ok = np.array([s.c.ring == code.ring and len(s.c) == code.n for s in shares], dtype=bool)
+    if ok.any():
+        picked = [share for share, fit in zip(shares, ok) if fit]
+        words = stack_rows([share.c for share in picked])
+        xy = np.array([(share.x % m, share.y % m) for share in picked], dtype=np.int64)
+        ok[ok] = (
+            ~(words @ code.H.T).entries.any(axis=1)
+            & ((words @ secret).entries == xy[:, 0])
+            & ((words @ (code.dual_map @ secret)).entries == xy[:, 1])
+        )
+    return ok.tolist()

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from lcdshare import make_ring, matrix, parity_check_from_generator, read_secret, write_code, write_secret, vector
+from lcdshare import read_code, read_shares, verify_share
 from lcdshare.cli import main
 
 
@@ -287,3 +288,26 @@ def test_module_entry_point(data_dir):
     )
     assert proc.returncode == 0
     assert "secret: 1,1,0,0,0,0,0,1" in proc.stdout
+
+def test_verify_prints_what_a_per_share_loop_prints(tmp_path, capsys, data_dir):
+    doc = json.loads((data_dir / "z4_8_4.shares").read_text())
+    entries = doc["shares"]
+    entries[1]["x"] = (entries[1]["x"] + 1) % 4
+    entries[4]["y"] = (entries[4]["y"] + 2) % 4
+    entries[6]["c"][0] = (entries[6]["c"][0] + 1) % 4
+    tampered = tmp_path / "tampered.shares"
+    tampered.write_text(json.dumps(doc))
+
+    code = read_code(data_dir / "z4_8_4.code")
+    secret = read_secret(data_dir / "z4_8_4.secret")
+    verdicts = [verify_share(code, secret, s) for s in read_shares(tampered).shares]
+    expected = "".join(
+        f"share {s['id']}: {'ok' if ok else 'FAIL'}\n" for s, ok in zip(entries, verdicts)
+    )
+    assert verdicts.count(False) == 3
+
+    rc, out, err = run(
+        capsys, "verify", "--code", str(data_dir / "z4_8_4.code"),
+        "--shares", str(tampered), "--secret", str(data_dir / "z4_8_4.secret"),
+    )
+    assert (rc, out, err) == (1, expected, "error: 3 share(s) failed verification\n")

@@ -1,7 +1,9 @@
-"""Per-code cached data, the batched dealer and the vectorised generator."""
+"""Per-code cached data, the batched dealer and auditor, the vectorised
+generator and the rank-only elimination."""
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from lcdshare import (
@@ -15,10 +17,13 @@ from lcdshare import (
     make_ring,
     random_lcd_code,
     recover,
+    right_inverse,
     vector,
     verify_share,
+    verify_shares,
 )
-from lcdshare.errors import DimensionMismatch, InvalidShare
+from lcdshare.errors import DimensionMismatch, InvalidShare, ValidationError
+from lcdshare.linalg import _rref
 
 MASK = (1 << 64) - 1
 MODULI = [2, 4, 256, 65521, 2**31 - 1, 3**19, 3 * 2**62, 2**63 + 1]
@@ -149,3 +154,83 @@ def test_recover_reports_shares_in_order(z256_code):
     mixed[9] = forged
     with pytest.raises(DimensionMismatch, match=r"^share 7 does not match the code$"):
         recover(code, mixed)
+
+
+# ------------------------------------------------- rank-only elimination
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (2, 2), (3, 2), (65521, 1)])
+def test_rank_only_elimination_finds_the_pivots_of_the_full_one(p, e):
+    ring = make_ring(p, e)
+    rng = np.random.default_rng(p * 10 + e)
+    for trial in range(150):
+        rows, cols = rng.integers(1, 20, size=2)
+        a = rng.integers(0, ring.m, size=(rows, cols))
+        if trial % 2:  # mostly nilpotent entries: multiples of p
+            a = np.where(rng.random((rows, cols)) < 0.85, a * p % ring.m, a)
+        _, U, pivots = _rref(ring, a, pivots_only=True)
+        assert U is None
+        assert pivots == _rref(ring, a)[2]
+
+
+# ------------------------------------- one elimination per generated code
+
+
+def test_generated_codes_take_g_plus_from_their_own_elimination(monkeypatch):
+    calls = []
+
+    def counting(mat):
+        calls.append(mat)
+        return right_inverse(mat)
+
+    monkeypatch.setattr(codes, "right_inverse", counting)
+    for p, e in [(2, 1), (2, 2), (3, 2), (65521, 1)]:
+        code = random_lcd_code(make_ring(p, e), n=12, k=7, seed=p + e)
+        assert calls == []  # validate() took the G^+ of parity_check_from_generator
+        seeded, fresh = code.G_plus.entries, right_inverse(code.G).entries
+        assert seeded.dtype == fresh.dtype and np.array_equal(seeded, fresh)
+
+
+def test_a_given_g_plus_must_be_a_right_inverse():
+    code = random_lcd_code(make_ring(3, 2), n=10, k=6, seed=4)
+    ring, n, k = code.ring, code.n, code.k
+    rebuild = lambda G, G_plus: LinearCode(ring, n, k, G, code.H, _known_G_plus=G_plus)
+    assert rebuild(code.G, code.G_plus).G_plus == code.G_plus
+
+    off_by_one = code.G_plus.entries.copy()
+    off_by_one[0, 0] = (off_by_one[0, 0] + 1) % ring.m
+    short = code.G_plus.take_cols(range(k - 1))
+    other_ring = RMatrix(make_ring(2, 2), code.G_plus.entries % 4)
+    for wrong in [RMatrix(ring, off_by_one), short, other_ring, code.G_plus.T]:
+        with pytest.raises(ValidationError, match="^G is not full row rank$"):
+            rebuild(code.G, wrong)
+    # a rank-deficient G has no right inverse, so no G^+ can vouch for it
+    deficient = code.G.entries.copy()
+    deficient[-1] = 3 * deficient[-1] % ring.m
+    with pytest.raises(ValidationError, match="^G is not full row rank$"):
+        rebuild(RMatrix(ring, deficient), code.G_plus)
+
+
+# ------------------------------------------------------ batched audit
+
+
+def test_batched_audit_equals_one_verify_share_per_share(z256_code):
+    code = z256_code
+    secret = vector(code.ring, range(5, 5 + code.n))
+    shares, _ = deal(code, secret, count=30, seed=8)
+    tampered = list(shares)
+    s = shares[3]
+    tampered[3] = Share(s.id, s.c, (s.x + 1) % code.ring.m, s.y)
+    s = shares[11]
+    tampered[11] = Share(s.id, s.c, s.x, (s.y + 255) % code.ring.m)
+    s = shares[20]
+    bad = s.c.tolist()
+    bad[2] = (bad[2] + 1) % code.ring.m
+    tampered[20] = Share(s.id, vector(code.ring, bad), s.x, s.y)
+    s = shares[25]
+    tampered[25] = Share(s.id, vector(code.ring, [0] * (code.n - 1)), s.x, s.y)
+    tampered[26] = Share(s.id, s.c, s.x + code.ring.m, s.y - code.ring.m)
+    expected = [verify_share(code, secret, share) for share in tampered]
+    assert expected.count(False) == 4
+    assert verify_shares(code, secret, tampered) == expected
+    assert verify_shares(code, secret, []) == []

@@ -45,6 +45,20 @@ def test_make_ring_rejects(p, e, err):
         make_ring(p, e)
 
 
+def test_make_ring_refuses_huge_exponents_without_building_p_to_the_e():
+    # up to 14,000 bits p**e is built and printed in full; beyond, the
+    # bound follows from e alone (p**e would not print at 65521^65521,
+    # nor finish at 2^(2^64))
+    for p, e in [(2, 31), (2, 256), (3, 4417), (2, 7000)]:
+        with pytest.raises(Overflow, match=rf"^{p}\^{e} = {p**e} exceeds the supported bound"):
+            make_ring(p, e)
+    for p, e in [(2, 7001), (3, 7001), (65521, 65521), (2, 2**64)]:
+        with pytest.raises(Overflow, match=rf"^{p}\^{e} exceeds the supported bound"):
+            make_ring(p, e)
+    with pytest.raises(NotPrime):
+        make_ring(4, 2**64)
+
+
 def test_primality_against_sympy():
     for n in range(-5, 2000):
         assert is_prime(n) == sympy.isprime(n), n

@@ -4,8 +4,19 @@ A code here is the row span of a full-row-rank k x n generator matrix
 G, together with a full-row-rank parity check matrix H satisfying
 G H^T = 0.  The code is LCD (linear complementary dual) when the code
 meets its dual only in the zero word, which is equivalent to the
-stacked n x n matrix (G over H) being invertible.  That equivalence is
-what is_lcd computes; is_lcd_oracle instead enumerates both codes and
+stacked n x n matrix M = (G over H) being invertible.
+
+is_lcd computes Massey's Gram criterion instead: M is invertible
+exactly when the (n-k) x (n-k) matrix H H^T is.  With a right inverse
+G^+ of G,
+
+    M [G^+ | H^T] = [[I, 0], [H G^+, H H^T]],
+
+and [G^+ | H^T] is injective (G kills the H^T part and returns the
+G^+ part; H^T is injective as H has full row rank), hence invertible
+over the finite ring Z_{p^e}.  The same elimination yields the cached
+Q = (H H^T)^{-1} that recovery uses.  For k = n, H H^T is 0 x 0 and
+the code is LCD.  is_lcd_oracle instead enumerates both codes and
 intersects them, so the two must agree and can cross-check each other.
 """
 
@@ -24,7 +35,7 @@ from .errors import (
     TooLargeToEnumerate,
     ValidationError,
 )
-from .linalg import RMatrix, RVector, _rref, is_full_row_rank, right_inverse, stack_rows
+from .linalg import RMatrix, RVector, _rref, is_full_row_rank, right_inverse
 from .linalg import _right_inverse_from
 from .ring import RingSpec
 from .rng import SplitMix64
@@ -42,8 +53,9 @@ class LinearCode:
     the parity check matrix is the empty 0 x n matrix and the dual
     code is {0}.
 
-    G^+, the LCD verdict and the dual map are cached on first use; they
-    cannot go stale, as the dataclass is frozen and G, H are read-only.
+    G^+, Q = (H H^T)^{-1}, the LCD verdict and the dual map are cached
+    on first use; they cannot go stale, as the dataclass is frozen and
+    G, H are read-only.
     A caller that has eliminated G may pass its right inverse as
     _known_G_plus; validate() checks G G^+ = I for it as for any G^+.
     """
@@ -89,6 +101,14 @@ class LinearCode:
     def G_plus(self) -> RMatrix:
         """A right inverse of G, so c @ G_plus recovers l from c = l G."""
         return right_inverse(self.G)
+
+    @cached_property
+    def gram_inverse(self) -> RMatrix | None:
+        """Q = (H H^T)^{-1}, or None when H H^T is singular, which is
+        exactly when the code is not LCD (see the module docstring)."""
+        gram = self.H @ self.H.T
+        _, U, pivots = _rref(self.ring, gram.entries)
+        return RMatrix(self.ring, U) if len(pivots) == gram.rows else None
 
     @cached_property
     def lcd(self) -> bool:
@@ -147,8 +167,9 @@ def is_codeword(code: LinearCode, word: RVector) -> bool:
 
 
 def is_lcd(code: LinearCode) -> bool:
-    """LCD test via invertibility of the stacked (G over H) matrix."""
-    return is_full_row_rank(stack_rows([code.G, code.H]))
+    """LCD test via invertibility of H H^T (the Gram criterion in the
+    module docstring), read off the elimination that gives Q."""
+    return code.gram_inverse is not None
 
 
 def _all_vectors(ring: RingSpec, length: int) -> np.ndarray:

@@ -19,6 +19,9 @@ operation exact for any modulus up to 2**31 - 1.
 
 The pivot policy is fixed for reproducibility: scan columns left to
 right, pick the topmost unit entry in each, and never swap columns.
+Solving walks rows instead (_pick_and_solve): it takes each row that
+raises the unit rank, which picks the same rows as the column scan on
+the transpose, and skips the transform.
 """
 
 from __future__ import annotations
@@ -339,48 +342,76 @@ def _right_inverse_from(ring: RingSpec, U: np.ndarray, pivots: list[int], n: int
     return RMatrix(ring, N)
 
 
+def _pick_and_solve(ring: RingSpec, a: np.ndarray, b: np.ndarray, count: int):
+    """Pick the first `count` rows of a that raise its unit rank, and
+    solve the picked rows of a @ x = b, for count = a.shape[1].
+
+    Walks the rows of [a | b] in order and keeps the picked ones as a
+    reduced echelon basis.  Each new row is reduced against the basis
+    with one product; a unit entry left in its `a` part means the row
+    raises the unit rank, so it is picked, its first unit column becomes
+    its pivot, and that column is cleared out of the basis rows.  Once
+    all `count` columns are pivots the `b` column of the basis holds x.
+
+    Returns (picks, x).  With fewer than `count` picks every row has
+    been walked, len(picks) is the unit rank of a, and x is meaningless.
+    """
+    m, p = ring.m, ring.p
+    cols = a.shape[1]
+    rows = np.concatenate([a, b[:, None]], axis=1) % m
+    basis = np.zeros((count, cols + 1), dtype=np.int64)
+    pivots = np.zeros(count, dtype=np.intp)
+    picks: list[int] = []
+    for i, row in enumerate(rows):
+        r = len(picks)
+        if r == count:
+            break
+        if r:
+            row = (row - _mod_matmul(row[None, pivots[:r]], basis[:r], m)[0]) % m
+        units = row[:cols] % p != 0
+        if not units.any():
+            continue
+        c = int(units.argmax())
+        row = row * ring.inverse(int(row[c])) % m
+        basis[:r] = (basis[:r] - basis[:r, c, None] * row) % m
+        basis[r] = row
+        pivots[r] = c
+        picks.append(i)
+    x = np.zeros(cols, dtype=np.int64)
+    x[pivots[: len(picks)]] = basis[: len(picks), cols]
+    return picks, x
+
+
 def solve_unique(a: RMatrix, b: RVector) -> RVector:
-    """Solve a @ x = b for square invertible a; the transform from the
-    elimination is exactly a^{-1} when all pivots are units."""
+    """Solve a @ x = b for square invertible a: every row must be
+    picked by _pick_and_solve."""
     if a.ring != b.ring:
         raise DimensionMismatch(f"mixed rings {a.ring} and {b.ring}")
     if a.rows != a.cols:
         raise DimensionMismatch(f"system matrix must be square, got {a.shape}")
     if a.rows != len(b):
         raise DimensionMismatch(f"{a.shape} system with length-{len(b)} right side")
-    _, U, pivots = _rref(a.ring, a.entries)
-    if len(pivots) < a.rows:
+    picks, x = _pick_and_solve(a.ring, a.entries, b.entries, a.rows)
+    if len(picks) < a.rows:
         raise Singular(
-            f"system matrix has unit rank {len(pivots)} < {a.rows}; "
+            f"system matrix has unit rank {len(picks)} < {a.rows}; "
             "no unique solution"
         )
-    x = _mod_matmul(U, b.entries[:, None], a.ring.m)
-    return RVector(a.ring, x[:, 0])
+    return RVector(a.ring, x)
 
 
 def select_independent_rows(mat: RMatrix, count: int) -> list[int]:
     """Greedy lowest-index-first choice of `count` rows with full row
     rank; returns the lexicographically first such index set.  A row is
-    taken iff it raises the unit rank of the rows above it, that is, iff
-    its column of mat^T is a pivot column.
-
-    Whether a column is a pivot depends only on the columns before it,
-    so a prefix of the rows is eliminated first and doubled until it
-    holds `count` pivots; a long stack of shares is rarely read whole.
-    """
+    taken iff it raises the unit rank of the rows above it."""
     if count < 0 or count > mat.rows:
         raise BadParameters(f"cannot select {count} rows from {mat.rows}")
-    size = count
-    while True:
-        _, _, pivots = _rref(mat.ring, mat.entries[:size].T, pivots_only=True)
-        if len(pivots) >= count or size >= mat.rows:
-            break
-        size = min(2 * size, mat.rows)
-    if len(pivots) < count:
+    picks, _ = _pick_and_solve(mat.ring, mat.entries, np.zeros(mat.rows, np.int64), count)
+    if len(picks) < count:
         raise NotEnoughIndependentRows(
-            f"only {len(pivots)} independent rows found, needed {count}"
+            f"only {len(picks)} independent rows found, needed {count}"
         )
-    return pivots[:count]
+    return picks
 
 
 def left_null_vector(mat: RMatrix) -> RVector:

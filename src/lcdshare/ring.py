@@ -17,6 +17,9 @@ from dataclasses import dataclass
 from .errors import BadParameters, NotAUnit, NotPrime, Overflow
 
 MAX_MODULUS = 2**31 - 1
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the least odd composite that no base in _WITNESSES exposes (OEIS A014233)
+_WITNESSES_EXACT_BELOW = 318_665_857_834_031_151_167_461
 
 
 class ElementKind(enum.Enum):
@@ -76,15 +79,49 @@ class RingSpec:
         return pow(a, -1, self.m)
 
 
+def _has_composite_witness(p: int) -> bool:
+    """True if one of the first twelve primes divides p > 37 or is a
+    Miller-Rabin witness for it, either of which proves p composite.
+    Below _WITNESSES_EXACT_BELOW every composite p has such a witness;
+    above it only the division is tried, as the witness search costs
+    time that grows with p."""
+    if any(p % a == 0 for a in _WITNESSES):
+        return True
+    if p >= _WITNESSES_EXACT_BELOW:
+        return False
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return True
+    return False
+
+
 def make_ring(p: int, e: int) -> RingSpec:
     """Validate (p, e) and build the ring Z_{p^e}.
 
-    p must be prime (trial division), e >= 1, and p**e <= 2**31 - 1 so
-    that products of two residues always fit in a signed 64-bit word.
+    p must be prime, e >= 1, and p**e <= 2**31 - 1 so that products of
+    two residues always fit in a signed 64-bit word.  Up to that bound p
+    is checked by trial division.  A larger p is called not prime when
+    one of the first twelve primes divides it or is a Miller-Rabin
+    witness for it, which finds every composite p below 3.1 * 10**23;
+    any other p is refused with Overflow, as p**e exceeds the bound
+    whatever p is.  Trial division up to sqrt(p) would stall there.
     """
     if e < 1:
         raise BadParameters(f"exponent must be >= 1, got {e}")
-    if not is_prime(p):
+    if p <= MAX_MODULUS:
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
+    elif _has_composite_witness(p):
         raise NotPrime(f"{p} is not prime")
     if e * p.bit_length() > 14_000:  # p**e has 4,000+ digits: too slow to build and print
         raise Overflow(f"{p}^{e} exceeds the supported bound {MAX_MODULUS}")

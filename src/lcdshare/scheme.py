@@ -15,6 +15,19 @@ more, giving an invertible n x n system.
 
 The scheme needs 2k >= n so that the truncation from l to l' removes
 2k - n trailing coordinates and leaves exactly n - k of them.
+
+recover never builds that n x n system.  With g = G s and h = H s,
+x_i = l_i . g and y_i = l'_i . h, so it runs three steps:
+
+1. pick the first k shares whose rows l_i = c_i G^+ are independent
+   and solve l_i . g = x_i on them, in one pass over the rows;
+2. among those, pick the first n - k independent rows l'_i and solve
+   l'_i . h = y_i the same way;
+3. rebuild s = G^+ g + H^T Q (h - H G^+ g) with the code's cached
+   Q = (H H^T)^{-1}, which exists because the code is LCD.  Then
+   G s = g because G H^T = 0, and H s = h.
+
+The secret is the unique solution of the n x n system either way.
 """
 
 from __future__ import annotations
@@ -30,19 +43,10 @@ from .errors import (
     DimensionMismatch,
     InternalSingular,
     InvalidShare,
-    NotEnoughIndependentRows,
     NotEnoughIndependentShares,
     NotLcd,
-    Singular,
 )
-from .linalg import (
-    RMatrix,
-    RVector,
-    select_independent_rows,
-    solve_unique,
-    stack_rows,
-    vector,
-)
+from .linalg import RMatrix, RVector, _pick_and_solve, stack_rows
 from .ring import RingSpec
 from .rng import SplitMix64
 
@@ -148,16 +152,17 @@ def deal(
 def recover(code: LinearCode, shares: Sequence[Share]) -> RVector:
     """Reconstruct the secret from at least k independent shares.
 
-    Steps: reject non-codeword shares; greedily pick the first k whose
-    codewords are independent; recompute l''_i = c_i G^+ and truncate
-    each row to its first n - k coordinates; greedily pick n - k
-    independent truncated rows and push them through H to get dual
-    codewords; solve the stacked n x n system against the matching
-    x and y values.  Exactly k shares are consumed; extras beyond the
+    Steps: reject non-codeword shares; recompute every coefficient row
+    l_i = c_i G^+ (exact, as c_i = l_i G); walk the rows in order and
+    pick the first k independent ones while solving l_i . g = x_i for
+    g = G s; among those picks, take the first n - k independent
+    truncations l_i[:n-k] while solving l_i[:n-k] . h = y_i for h = H s;
+    rebuild s = G^+ g + H^T Q (h - H G^+ g) with the code's cached
+    Q = (H H^T)^{-1}.  Exactly k shares are consumed; extras beyond the
     selection only matter for auditing via verify_share.
     """
     _check_code(code)
-    n, k = code.n, code.k
+    n, k, m = code.n, code.k, code.ring.m
     # shares fail in order: a non-codeword before the first foreign
     # share is reported as such, exactly as a per-share loop would
     fits = [share.c.ring == code.ring and len(share.c) == n for share in shares]
@@ -174,26 +179,23 @@ def recover(code: LinearCode, shares: Sequence[Share]) -> RVector:
         raise NotEnoughIndependentShares(
             f"{len(shares)} shares supplied, need at least k={k}"
         )
-    try:
-        picked = select_independent_rows(c_matrix, k)
-    except NotEnoughIndependentRows as exc:
-        raise NotEnoughIndependentShares(str(exc)) from exc
-    selected = [shares[i] for i in picked]
-
-    words = c_matrix.take_rows(picked)
-    truncated = (words @ code.G_plus).take_cols(range(n - k))
-    try:
-        dual_picks = select_independent_rows(truncated, n - k)
-    except NotEnoughIndependentRows as exc:
+    coefficients = (c_matrix @ code.G_plus).entries
+    xy = np.array([(share.x % m, share.y % m) for share in shares], dtype=np.int64)
+    picked, g = _pick_and_solve(code.ring, coefficients, xy[:, 0], k)
+    if len(picked) < k:
+        raise NotEnoughIndependentShares(
+            f"only {len(picked)} independent rows found, needed {k}"
+        )
+    truncated = coefficients[picked, : n - k]
+    dual_picks, h = _pick_and_solve(code.ring, truncated, xy[picked, 1], n - k)
+    if len(dual_picks) < n - k:
         # impossible for a valid LCD code; inputs must be corrupted
-        raise InternalSingular(str(exc)) from exc
-
-    system = stack_rows([words, truncated.take_rows(dual_picks) @ code.H])
-    values = [share.x for share in selected] + [selected[j].y for j in dual_picks]
-    try:
-        return solve_unique(system, vector(code.ring, values))
-    except Singular as exc:
-        raise InternalSingular(str(exc)) from exc
+        raise InternalSingular(
+            f"only {len(dual_picks)} independent rows found, needed {n - k}"
+        )
+    base = code.G_plus @ RVector(code.ring, g)
+    correction = code.gram_inverse @ (RVector(code.ring, h) - code.H @ base)
+    return base + correction @ code.H
 
 
 def verify_share(code: LinearCode, secret: RVector, share: Share) -> bool:

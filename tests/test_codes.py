@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -241,6 +242,25 @@ def test_lcd_predicate_agrees_with_enumeration():
         for seed in range(30):
             code = random_code(ring, n=5, k=2, seed=seed)
             assert is_lcd(code) == is_lcd_oracle(code), (ring, seed)
+
+
+def test_gram_criterion_equals_the_rank_of_the_stacked_matrix():
+    """is_lcd reads the invertibility of H H^T; the definition is that
+    of the stacked (G over H).  Both must agree on codes with and without
+    the property, k = n included, and with enumeration where it fits."""
+    verdicts = []
+    for p, e in [(2, 1), (2, 2), (3, 2), (2, 8), (65521, 1), (2**31 - 1, 1)]:
+        ring = make_ring(p, e)
+        for seed in range(40):
+            n = 1 + seed % 8
+            k = n - seed // 8 % n  # k = n for the first eight seeds
+            code = random_code(ring, n, k, seed)
+            stacked = unit_rank(RMatrix(ring, np.vstack([code.G.entries, code.H.entries])))
+            assert is_lcd(code) == (stacked == n), (ring, n, k, seed)
+            if ring.m ** max(k, n - k) <= 2**16:
+                assert is_lcd(code) == is_lcd_oracle(code), (ring, n, k, seed)
+            verdicts.append(is_lcd(code))
+    assert verdicts.count(False) > 20 and verdicts.count(True) > 100
 
 
 def test_oracle_refuses_oversized_enumerations(z4_code):

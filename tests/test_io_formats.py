@@ -2,6 +2,8 @@
 
 import io
 import json
+import re
+import time
 
 import pytest
 
@@ -18,7 +20,7 @@ from lcdshare import (
     write_secret,
     write_shares,
 )
-from lcdshare.errors import ParseError, ValidationError
+from lcdshare.errors import NotPrime, Overflow, ParseError, ValidationError
 from lcdshare.io_formats import ShareFile
 
 NAMES = sorted(refdata.ALL_INSTANCES)
@@ -139,6 +141,21 @@ def test_corrupted_code_documents_are_rejected(label, mutate, exc, fragment, dat
     with pytest.raises(exc) as err:
         read_code(source)
     assert fragment in str(err.value)
+
+
+def test_a_large_ring_p_fails_at_once(data_dir):
+    # trial division up to sqrt(p) used to stall here for minutes
+    prime, composite = 2**61 - 1, (2**31 - 1) ** 2
+    for p, cause, fragment in [
+        (prime, Overflow, f"{prime}^1 = {prime} exceeds the supported bound"),
+        (composite, NotPrime, f"{composite} is not prime"),
+    ]:
+        source = mutated_bytes(data_dir / "z4_8_4.code", lambda d: d["ring"].update(p=p, e=1))
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match=re.escape(f"code document.ring: {fragment}")) as err:
+            read_code(source)
+        assert time.perf_counter() - start < 1.0
+        assert type(err.value.__cause__) is cause
 
 
 SHARE_CORRUPTIONS = [

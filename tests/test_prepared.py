@@ -112,9 +112,27 @@ def test_lcd_elimination_runs_once_per_code_object(z256_code, monkeypatch):
     assert len(calls) == 2
 
 
+def test_gram_elimination_runs_once_per_code_object(z256_code, monkeypatch):
+    g, h, n, k = z256_code.G, z256_code.H, z256_code.n, z256_code.k
+    fresh = LinearCode(ring=g.ring, n=n, k=k, G=g, H=h)
+    lcd_calls, eliminated = [], []
+    is_lcd, rref = codes.is_lcd, codes._rref
+    monkeypatch.setattr(codes, "is_lcd", lambda code: lcd_calls.append(code) or is_lcd(code))
+    monkeypatch.setattr(
+        codes, "_rref", lambda ring, a, **kw: eliminated.append(a.shape) or rref(ring, a, **kw)
+    )
+    secret = vector(fresh.ring, range(7, 7 + n))
+    shares, _ = deal(fresh, secret, count=100, seed=6)
+    for i in range(100):
+        assert recover(fresh, shares[i:] + shares[:i]) == secret
+    assert lcd_calls == [fresh]
+    assert eliminated == [(n - k, n - k)]  # H H^T, once, for Q and the verdict
+
+
 def test_code_data_is_read_only(z256_code):
     code = z256_code
-    for arr in (code.G.entries, code.H.entries, code.G_plus.entries, code.dual_map.entries):
+    cached = (code.G_plus, code.dual_map, code.gram_inverse)
+    for arr in (code.G.entries, code.H.entries) + tuple(mat.entries for mat in cached):
         with pytest.raises(ValueError):
             arr[0, 0] = 1
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lcdshare import ElementKind, classify, inverse, is_prime, make_ring, parse_ring_label
 from lcdshare.errors import BadParameters, NotAUnit, NotPrime, Overflow
+from lcdshare import ring as ring_module
 from lcdshare.ring import MAX_MODULUS
 
 SMALL_MODULI = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2)]
@@ -57,6 +58,39 @@ def test_make_ring_refuses_huge_exponents_without_building_p_to_the_e():
             make_ring(p, e)
     with pytest.raises(NotPrime):
         make_ring(4, 2**64)
+
+
+def test_a_large_p_is_refused_without_trial_division():
+    # strong pseudoprimes to the first 4 and 9 prime bases, squares and
+    # products of primes near 2^31 and 2^35: no small factor anywhere
+    composites = [3215031751, 3825123056546413051, (2**31 - 1) ** 2,
+                  34359738337 * 34359738319, 3 * (2**61 - 1), 2**64]
+    for p in composites:
+        with pytest.raises(NotPrime, match=rf"^{p} is not prime$"):
+            make_ring(p, 1)
+    for p in [2**31 + 11, 2**61 - 1, 10**12 + 39, 2**89 - 1, 2**127 - 1]:
+        with pytest.raises(Overflow, match=rf"^{p}\^2 = {p**2} exceeds the supported bound"):
+            make_ring(p, 2)
+    rng = random.Random(20261018)
+    for _ in range(300):
+        p = rng.randrange(2**31, 2**78)
+        if sympy.isprime(p):
+            with pytest.raises(Overflow):
+                make_ring(p, 1)
+        else:
+            with pytest.raises(NotPrime):
+                make_ring(p, 1)
+
+
+def test_the_witness_bound_is_the_least_pseudoprime_to_every_base(monkeypatch):
+    # below the bound a composite p always has a witness; the bound itself
+    # is a composite that has none, so above it the search proves nothing
+    psi = ring_module._WITNESSES_EXACT_BELOW
+    assert psi == 399165290221 * 798330580441
+    assert all(psi % a for a in ring_module._WITNESSES)
+    monkeypatch.setattr(ring_module, "_WITNESSES_EXACT_BELOW", psi + 1)
+    assert not ring_module._has_composite_witness(psi)
+    assert ring_module._has_composite_witness(3825123056546413051)
 
 
 def test_primality_against_sympy():

@@ -58,7 +58,7 @@ from .linalg import (
     unit_rank,
     vector,
 )
-from .ring import ElementKind, RingSpec, classify, inverse, is_prime, make_ring, parse_ring_label
+from .ring import ElementKind, RingSpec, is_prime, make_ring, parse_ring_label
 from .rng import SplitMix64
 from .scheme import DealRecord, Share, deal, deal_one, recover, verify_share, verify_shares
 
@@ -76,7 +76,6 @@ __all__ = [
     "Share",
     "ShareFile",
     "SplitMix64",
-    "classify",
     "deal",
     "deal_one",
     "dual",
@@ -85,7 +84,6 @@ __all__ = [
     "extension_count",
     "guess_probability",
     "information_rate",
-    "inverse",
     "is_codeword",
     "is_full_row_rank",
     "is_lcd",

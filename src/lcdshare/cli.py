@@ -19,9 +19,10 @@ from .codes import random_lcd_code
 from .errors import BadParameters, LcdshareError, NotLcd, ValidationError
 from .io_formats import (
     ShareFile,
+    _share_columns,
+    _shares,
     read_code,
     read_secret,
-    read_shares,
     write_code,
     write_deal_record,
     write_secret,
@@ -136,24 +137,29 @@ def _cmd_deal(args) -> int:
     return 0
 
 
-def _read_code_and_shares(args):
-    code, share_file = read_code(args.code), read_shares(args.shares)
-    if share_file.ring != code.ring or share_file.n != code.n:
+def _read_code_and_columns(args):
+    """The code, and the columns of the shares file (ids, c block, x, y)
+    once its ring and length match the code's."""
+    code = read_code(args.code)
+    ring, n, *columns = _share_columns(args.shares)
+    if ring != code.ring or n != code.n:
         raise ValidationError("shares file does not match the code's ring and length")
-    return code, share_file.shares
+    return code, columns
 
 
 def _cmd_recover(args) -> int:
-    code, shares = _read_code_and_shares(args)
+    code, (ids, *columns) = _read_code_and_columns(args)
+    rows = range(len(ids))
     if args.ids:
         wanted = _parse_csv_ints(args.ids, "--ids")
         if len(set(wanted)) != len(wanted):
             raise _Usage("--ids contains duplicates")
-        by_id = {share.id: share for share in shares}
-        missing = [i for i in wanted if i not in by_id]
+        row_of = dict(zip(ids, rows))
+        missing = [i for i in wanted if i not in row_of]
         if missing:
             raise BadParameters(f"share id {missing[0]} not present in {args.shares}")
-        shares = [by_id[i] for i in wanted]
+        rows = [row_of[i] for i in wanted]
+    shares = _shares(code.ring, ids, *columns, rows)
     secret = recover(code, shares)
     if args.verbose:
         print(f"using {len(shares)} candidate shares, threshold k={code.k}")
@@ -165,7 +171,8 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    code, shares = _read_code_and_shares(args)
+    code, (ids, *columns) = _read_code_and_columns(args)
+    shares = _shares(code.ring, ids, *columns, range(len(ids)))
     secret = read_secret(args.secret)
     if secret.ring != code.ring or len(secret) != code.n:
         raise ValidationError("secret file does not match the code's ring and length")

@@ -42,6 +42,7 @@ Target = Union[str, Path, object]
 
 _TYPE_NAMES = {int: "an integer", dict: "an object", list: "an array"}
 _LENGTH = "{row} has length {got}, expected n={width}"
+_SHARE_FIELDS = dict.fromkeys(("id", "c", "x", "y")).keys()
 
 
 @dataclass(frozen=True)
@@ -216,8 +217,7 @@ def _residue_block(rows: list, width: int, m: int, row: str, length: str = _LENG
     raise AssertionError("a block that fails a check has a first bad entry")
 
 
-def _unique_ids(entries: list[dict]) -> list[int]:
-    ids = [obj["id"] for obj in entries]
+def _unique_ids(ids: list[int]) -> list[int]:
     if len(set(ids)) != len(ids):
         seen: set[int] = set()
         first = next(pid for pid in ids if pid in seen or seen.add(pid))
@@ -243,34 +243,61 @@ def read_code(source: Target) -> LinearCode:
     return LinearCode(ring=ring, n=n, k=k, G=RMatrix(ring, G), H=RMatrix(ring, H))
 
 
-def read_shares(source: Target) -> ShareFile:
+def _share_columns(source: Target):
+    """Check a shares document and return it as columns: ring, n, the
+    ids, the (N, n) int64 block of codewords, and the x and y values.
+
+    As in _residue_block, each check is one pass over the whole
+    document: every share a dict with exactly the fields id, c, x, y;
+    one set of id types and the least id; one set of x and y types and
+    their least and greatest value.  Only a check that fails walks the
+    shares, to name the first bad one as a per-share reader would."""
     document, ring, n = _document(source, "shares document", "shares")
     if n < 1:
         raise ValidationError(f"length n must be >= 1, got {n}")
     entries = _expect(document["shares"], list, "shares")
-    for i, obj in enumerate(entries):
-        where = f"shares[{i}]"
-        _expect_fields(_expect(obj, dict, where), ("id", "c", "x", "y"), where)
-        pid = _expect(obj["id"], int, f"{where}.id")
-        if pid < 1:
-            raise ValidationError(f"{where}: participant id must be >= 1, got {pid}")
+    whole = set(map(type, entries)) <= {dict} and all(
+        obj.keys() == _SHARE_FIELDS for obj in entries
+    )
+    ids = [obj["id"] for obj in entries] if whole else []
+    if not (whole and set(map(type, ids)) <= {int} and min(ids, default=1) >= 1):
+        for i, obj in enumerate(entries):
+            where = f"shares[{i}]"
+            _expect_fields(_expect(obj, dict, where), ("id", "c", "x", "y"), where)
+            pid = _expect(obj["id"], int, f"{where}.id")
+            if pid < 1:
+                raise ValidationError(f"{where}: participant id must be >= 1, got {pid}")
+        raise AssertionError("a document that fails a check has a first bad share")
     words = _residue_block(
         [obj["c"] for obj in entries], n, ring.m, "shares[{i}].c",
         "shares[{i}]: c has length {got}, expected n={width}",
+    ).reshape(len(entries), n)
+    xs, ys = [obj["x"] for obj in entries], [obj["y"] for obj in entries]
+    xy = xs + ys
+    if not (
+        set(map(type, xy)) <= {int} and 0 <= min(xy, default=0) and max(xy, default=0) < ring.m
+    ):
+        for i, obj in enumerate(entries):
+            pair = [_expect(obj[key], int, f"shares[{i}].{key}") for key in ("x", "y")]
+            for key, v in zip("xy", pair):
+                if not 0 <= v < ring.m:
+                    raise ValidationError(
+                        f"shares[{i}].{key}[0]: residue {v} out of range 0..{ring.m - 1}"
+                    )
+    return ring, n, _unique_ids(ids), words, xs, ys
+
+
+def _shares(ring: RingSpec, ids, words, xs, ys, rows: Sequence[int]) -> tuple[Share, ...]:
+    """Share objects for the given rows of the columns _share_columns
+    returns, in the order of rows."""
+    return tuple(
+        Share(id=ids[r], c=RVector(ring, words[r]), x=xs[r], y=ys[r]) for r in rows
     )
-    for i, obj in enumerate(entries):
-        xy = [_expect(obj[key], int, f"shares[{i}].{key}") for key in ("x", "y")]
-        for key, v in zip("xy", xy):
-            if not 0 <= v < ring.m:
-                raise ValidationError(
-                    f"shares[{i}].{key}[0]: residue {v} out of range 0..{ring.m - 1}"
-                )
-    ids = _unique_ids(entries)
-    shares = (
-        Share(id=pid, c=RVector(ring, c), x=obj["x"], y=obj["y"])
-        for pid, c, obj in zip(ids, words, entries)
-    )
-    return ShareFile(ring=ring, n=n, shares=tuple(shares))
+
+
+def read_shares(source: Target) -> ShareFile:
+    ring, n, ids, *columns = _share_columns(source)
+    return ShareFile(ring=ring, n=n, shares=_shares(ring, ids, *columns, range(len(ids))))
 
 
 def read_secret(source: Target) -> RVector:
@@ -296,7 +323,7 @@ def read_deal_record(source: Target) -> DealRecord:
         _expect_fields(_expect(obj, dict, f"deal.l[{i}]"), ("id", "l"), f"deal.l[{i}]")
         if _expect(obj["id"], int, f"deal.l[{i}].id") < 1:
             raise ValidationError(f"deal.l[{i}]: participant id must be >= 1")
-    ids = _unique_ids(entries)
+    ids = _unique_ids([obj["id"] for obj in entries])
     rows = _residue_block(
         [obj["l"] for obj in entries], k, ring.m, "deal.l[{i}].l",
         "{row} has length {got}, expected k={width}",

@@ -131,16 +131,6 @@ def make_ring(p: int, e: int) -> RingSpec:
     return RingSpec(p=p, e=e, m=m)
 
 
-def classify(ring: RingSpec, a: int) -> ElementKind:
-    """Module-level alias for RingSpec.classify."""
-    return ring.classify(a % ring.m)
-
-
-def inverse(ring: RingSpec, a: int) -> int:
-    """Module-level alias for RingSpec.inverse."""
-    return ring.inverse(a)
-
-
 def parse_ring_label(text: str) -> RingSpec:
     """Parse 'p^e' (or bare 'p', meaning e = 1) into a ring."""
     parts = text.split("^")

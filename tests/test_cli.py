@@ -1,14 +1,19 @@
 """Command line behavior: exit codes, output text, file side effects."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lcdshare import make_ring, matrix, parity_check_from_generator, read_secret, write_code, write_secret, vector
-from lcdshare import read_code, read_shares, verify_share
-from lcdshare.cli import main
+from lcdshare import Share, ShareFile, deal, random_lcd_code, read_code, read_shares, recover, verify_share, write_shares
+from lcdshare.cli import REMEDIES, main
+from lcdshare.errors import BadParameters, LcdshareError
 
 
 def run(capsys, *argv):
@@ -311,3 +316,114 @@ def test_verify_prints_what_a_per_share_loop_prints(tmp_path, capsys, data_dir):
         "--shares", str(tampered), "--secret", str(data_dir / "z4_8_4.secret"),
     )
     assert (rc, out, err) == (1, expected, "error: 3 share(s) failed verification\n")
+
+
+# ------------------------------------------- recover --ids on a share file
+
+
+def _dealt_file(directory, p, e, count):
+    """A code over Z_{p^e} with n=6, k=4 and a file of `count` shares."""
+    ring = make_ring(p, e)
+    code = random_lcd_code(ring, 6, 4, seed=21)
+    shares, _ = deal(code, vector(ring, [1, 0, 2, 3, 1, 0]), count=count, seed=5)
+    code_path, shares_path = directory / "dealt.code", directory / "dealt.shares"
+    write_code(code_path, code)
+    write_shares(shares_path, ShareFile(ring=ring, n=6, shares=tuple(shares)))
+    return code_path, shares_path
+
+
+def _corrupt_last(key, value):
+    def fault(entry):
+        if value is None:
+            del entry[key]
+        else:
+            entry[key] = value
+    return fault
+
+
+# Each fault hits shares[11], the last share, which --ids 1,...,5 leaves out.
+WHOLE_FILE_FAULTS = {
+    "x out of range": (
+        _corrupt_last("x", 9), "ValidationError: shares[11].x[0]: residue 9 out of range 0..8",
+    ),
+    "negative y": (
+        _corrupt_last("y", -1), "ValidationError: shares[11].y[0]: residue -1 out of range 0..8",
+    ),
+    "bool id": (_corrupt_last("id", True), "ParseError: shares[11].id: expected an integer"),
+    "duplicate id": (_corrupt_last("id", 11), "ValidationError: duplicate participant id 11"),
+    "missing y": (_corrupt_last("y", None), "ParseError: shares[11]: missing field 'y'"),
+    "extra key": (_corrupt_last("z", 0), "ParseError: shares[11]: unknown field 'z'"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(WHOLE_FILE_FAULTS))
+def test_recover_ids_validates_the_whole_file(tmp_path, capsys, fault):
+    """A bad share outside --ids fails the command as read_shares fails."""
+    corrupt, message = WHOLE_FILE_FAULTS[fault]
+    code_path, shares_path = _dealt_file(tmp_path, 3, 2, 12)
+    doc = json.loads(shares_path.read_text())
+    corrupt(doc["shares"][-1])
+    shares_path.write_text(json.dumps(doc))
+    with pytest.raises(LcdshareError) as raised:
+        read_shares(shares_path)
+    assert f"{type(raised.value).__name__}: {raised.value}" == message
+    rc, out, err = run(
+        capsys, "recover", "--code", str(code_path), "--shares", str(shares_path),
+        "--ids", "1,2,3,4,5",
+    )
+    assert (rc, out, err.splitlines()[0]) == (1, "", f"error: {message}")
+
+
+@pytest.fixture(scope="module")
+def z4_file_of_200(tmp_path_factory):
+    code_path, shares_path = _dealt_file(tmp_path_factory.mktemp("z4"), 2, 2, 200)
+    by_id = {share.id: share for share in read_shares(shares_path).shares}
+    return code_path, shares_path, read_code(code_path), by_id
+
+
+def test_recover_ids_builds_only_the_named_shares(z4_file_of_200, capsys, monkeypatch):
+    code_path, shares_path, _, _ = z4_file_of_200
+    built = []
+    real_init = Share.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Share, "__init__", counting_init)
+    run(capsys, "recover", "--code", str(code_path), "--shares", str(shares_path),
+        "--ids", "17,3,150,88")
+    assert len(built) == 4
+
+
+def _expected_recover_run(code, by_id, shares_path, ids):
+    """(exit code, stdout, stderr) of the command, derived from recover
+    on read_shares objects."""
+    if len(set(ids)) != len(ids):
+        return 2, "", "usage error: --ids contains duplicates\n"
+    try:
+        missing = [i for i in ids if i not in by_id]
+        if missing:
+            raise BadParameters(f"share id {missing[0]} not present in {shares_path}")
+        secret = recover(code, [by_id[i] for i in ids])
+    except LcdshareError as exc:
+        name = type(exc).__name__
+        return 1, "", f"error: {name}: {exc}\nhint: {REMEDIES[name]}\n"
+    return 0, f"secret: {','.join(map(str, secret))}\n", ""
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 205), min_size=1, max_size=9))
+@example([10, 20, 30, 40, 50, 60])  # recovers the secret
+@example([3, 17, 150, 88, 61])  # rank-deficient over Z_4
+@example([3, 17, 150, 88, 3])  # a duplicate, exit 2
+@example([3, 17, 201, 88])  # an id not in the file
+def test_recover_ids_prints_what_recover_on_read_shares_gives(z4_file_of_200, ids):
+    code_path, shares_path, code, by_id = z4_file_of_200
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["recover", "--code", str(code_path), "--shares", str(shares_path),
+                   "--ids", ",".join(map(str, ids))])
+    assert (rc, out.getvalue(), err.getvalue()) == _expected_recover_run(
+        code, by_id, shares_path, ids
+    )

@@ -150,7 +150,7 @@ def _read_code_and_columns(args):
 def _cmd_recover(args) -> int:
     code, (ids, *columns) = _read_code_and_columns(args)
     rows = range(len(ids))
-    if args.ids:
+    if args.ids is not None:
         wanted = _parse_csv_ints(args.ids, "--ids")
         if len(set(wanted)) != len(wanted):
             raise _Usage("--ids contains duplicates")

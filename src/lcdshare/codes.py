@@ -14,10 +14,12 @@ G^+ of G,
 
 and [G^+ | H^T] is injective (G kills the H^T part and returns the
 G^+ part; H^T is injective as H has full row rank), hence invertible
-over the finite ring Z_{p^e}.  The same elimination yields the cached
-Q = (H H^T)^{-1} that recovery uses.  For k = n, H H^T is 0 x 0 and
-the code is LCD.  is_lcd_oracle instead enumerates both codes and
-intersects them, so the two must agree and can cross-check each other.
+over the finite ring Z_{p^e}.  The row walk that inverts H H^T
+(linalg._pick_and_solve with B = I) yields both the verdict and the
+cached Q = (H H^T)^{-1} that recovery uses.  For k = n, H H^T is
+0 x 0 and the code is LCD.  is_lcd_oracle instead enumerates both
+codes and intersects them, so the two must agree and can cross-check
+each other.
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ from .errors import (
     TooLargeToEnumerate,
     ValidationError,
 )
-from .linalg import RMatrix, RVector, _rref, is_full_row_rank, right_inverse
-from .linalg import _right_inverse_from
+from .linalg import RMatrix, RVector, _pick_and_solve, is_full_row_rank, right_inverse
 from .ring import RingSpec
 from .rng import SplitMix64
 
@@ -106,9 +107,12 @@ class LinearCode:
     def gram_inverse(self) -> RMatrix | None:
         """Q = (H H^T)^{-1}, or None when H H^T is singular, which is
         exactly when the code is not LCD (see the module docstring)."""
-        gram = self.H @ self.H.T
-        _, U, pivots = _rref(self.ring, gram.entries)
-        return RMatrix(self.ring, U) if len(pivots) == gram.rows else None
+        size = self.n - self.k
+        gram = (self.H @ self.H.T).entries
+        picks, inverse, _ = _pick_and_solve(
+            self.ring, gram, np.eye(size, dtype=np.int64), size
+        )
+        return RMatrix(self.ring, inverse) if len(picks) == size else None
 
     @cached_property
     def lcd(self) -> bool:
@@ -125,25 +129,28 @@ class LinearCode:
 def parity_check_from_generator(generator: RMatrix) -> LinearCode:
     """Derive H from a full-row-rank G and assemble the code.
 
-    Row-reduce G; the reduced form is an identity on its pivot columns
-    and some block A elsewhere, so placing -A^T on the pivot columns
-    and an identity on the remaining columns yields a full-row-rank H
-    with G H^T = 0.  Column swaps are implicit: pivot columns need not
-    be the leading ones, and H comes back in the original column order.
-    The same elimination gives the code its G^+.
+    The walk that gives G^+ (see linalg.right_inverse) picks the pivot
+    columns P of G.  With E = G^+[P] G, the reduced echelon form of G,
+    which is an identity on P and G[:, P]^{-1} G[:, others] elsewhere,
+    placing -E[:, others]^T on P and an identity on the other columns
+    yields a full-row-rank H with G H^T = 0.  Column swaps are implicit:
+    pivot columns need not be the leading ones, and H comes back in the
+    original column order.  The code keeps the walk's G^+.
     """
     ring = generator.ring
-    k, n = generator.rows, generator.cols
-    E, U, pivots = _rref(ring, generator.entries)
-    if len(pivots) < k:
+    k, n = generator.shape
+    picks, x, _ = _pick_and_solve(
+        ring, generator.entries.T, np.eye(n, dtype=np.int64), k
+    )
+    if len(picks) < k:
         raise NotFullRowRank(
-            f"generator has unit rank {len(pivots)} < {k}; cannot derive parity check"
+            f"generator has unit rank {len(picks)} < {k}; cannot derive parity check"
         )
-    others = [c for c in range(n) if c not in set(pivots)]
+    G_plus = RMatrix(ring, x.T.copy())
+    others = [c for c in range(n) if c not in set(picks)]
     H = np.zeros((n - k, n), dtype=np.int64)
     H[:, others] = np.eye(n - k, dtype=np.int64)
-    H[:, pivots] = -E[:k, others].T
-    G_plus = _right_inverse_from(ring, U, pivots, n)
+    H[:, picks] = -(G_plus.take_rows(picks) @ generator.take_cols(others)).entries.T
     return LinearCode(ring, n, k, generator, RMatrix(ring, H), _known_G_plus=G_plus)
 
 
@@ -168,7 +175,8 @@ def is_codeword(code: LinearCode, word: RVector) -> bool:
 
 def is_lcd(code: LinearCode) -> bool:
     """LCD test via invertibility of H H^T (the Gram criterion in the
-    module docstring), read off the elimination that gives Q."""
+    module docstring): the code is LCD iff the walk that gives Q picks
+    all n - k rows of H H^T."""
     return code.gram_inverse is not None
 
 

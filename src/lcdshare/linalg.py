@@ -17,11 +17,13 @@ in canonical residue form.  Products are reduced in chunks sized so
 that no intermediate ever exceeds the int64 range, which keeps every
 operation exact for any modulus up to 2**31 - 1.
 
-The pivot policy is fixed for reproducibility: scan columns left to
-right, pick the topmost unit entry in each, and never swap columns.
-Solving walks rows instead (_pick_and_solve): it takes each row that
-raises the unit rank, which picks the same rows as the column scan on
-the transpose, and skips the transform.
+All elimination is one routine, _pick_and_solve, with a fixed pivot
+policy for reproducibility: walk the rows in order, take each row that
+raises the unit rank, and pivot it on its first unit column.  The rows
+it takes from M^T are the pivot columns of M, so a right inverse (and
+from it a parity check matrix) comes from the walk over M^T; a block
+right-hand side gives inverses and solutions, one of width 0 gives the
+rank, and the first row it skips gives a left null vector.
 """
 
 from __future__ import annotations
@@ -260,57 +262,59 @@ def stack_rows(parts: Sequence[Union[RVector, RMatrix]]) -> RMatrix:
     return RMatrix(ring, np.vstack(blocks))
 
 
-def _rref(ring: RingSpec, a: np.ndarray, pivots_only: bool = False):
-    """Reduced row echelon form using unit pivots only.
+def _pick_and_solve(ring: RingSpec, a: np.ndarray, b: np.ndarray, count: int):
+    """Pick the first `count` rows of a that raise its unit rank, and
+    solve the picked rows of a @ x = b, for count = a.shape[1].
 
-    Returns (E, U, pivots) with U @ a == E (mod m), U invertible, and
-    pivots the list of pivot column indices in increasing order.  Rows
-    that end without a pivot consist entirely of nilpotent entries.
+    b is a block of right-hand sides, one column per system, and may
+    have width 0.  Walks the rows of [a | b] in order and keeps the
+    picked ones as a reduced echelon basis.  Each new row is reduced
+    against the basis with one product; a unit entry left in its `a`
+    part means the row raises the unit rank, so it is picked, its first
+    unit column becomes its pivot, and that column is cleared out of
+    the basis rows.  Once all `count` columns are pivots the `b` part
+    of the basis holds x.
 
-    Pivot choice is deterministic: first eligible column, topmost unit
-    entry within it.  The search reads only the rows below the pivots
-    found so far, so with pivots_only the elimination skips U (returned
-    as None) and the rows above each pivot, and yields the same pivots
-    from a plain echelon form E.
+    Returns (picks, x, skipped).  With fewer than `count` picks every
+    row has been walked, len(picks) is the unit rank of a, and x is
+    meaningless.  skipped is the reduced `b` part of the first row that
+    was not picked (its `a` part is then all nilpotent), or None.
     """
     m, p = ring.m, ring.p
-    rows, cols = a.shape
-    E = a.astype(np.int64, copy=True) % m
-    U = None if pivots_only else np.eye(rows, dtype=np.int64)
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
+    cols = a.shape[1]
+    rows = np.concatenate([a, b], axis=1) % m
+    basis = np.zeros((count, rows.shape[1]), dtype=np.int64)
+    pivots = np.zeros(count, dtype=np.intp)
+    picks: list[int] = []
+    skipped = None
+    for i, row in enumerate(rows):
+        r = len(picks)
+        if r == count:
             break
-        hits = np.nonzero(E[r:, c] % p != 0)[0]
-        if hits.size == 0:
+        if r:
+            row = (row - _mod_matmul(row[None, pivots[:r]], basis[:r], m)[0]) % m
+        units = row[:cols] % p != 0
+        if not units.any():
+            if skipped is None:
+                skipped = row[cols:]
             continue
-        i = r + int(hits[0])
-        if i != r:
-            E[[r, i]] = E[[i, r]]
-            if U is not None:
-                U[[r, i]] = U[[i, r]]
-        inv = ring.inverse(int(E[r, c]))
-        E[r] = E[r] * inv % m
-        if pivots_only:
-            below = E[r + 1 :, c:]
-            below[:] = (below - np.outer(below[:, 0], E[r, c:])) % m
-        else:
-            U[r] = U[r] * inv % m
-            factors = E[:, c].copy()
-            factors[r] = 0
-            E = (E - np.outer(factors, E[r])) % m
-            U = (U - np.outer(factors, U[r])) % m
-        pivots.append(c)
-        r += 1
-    return E, U, pivots
+        c = int(units.argmax())
+        row = row * ring.inverse(int(row[c])) % m
+        basis[:r] = (basis[:r] - basis[:r, c, None] * row) % m
+        basis[r] = row
+        pivots[r] = c
+        picks.append(i)
+    x = np.zeros((cols, b.shape[1]), dtype=np.int64)
+    x[pivots[: len(picks)]] = basis[: len(picks), cols:]
+    return picks, x, skipped
 
 
 def unit_rank(mat: RMatrix) -> int:
     """Number of unit pivots; the size of the largest invertible
     square submatrix."""
-    _, _, pivots = _rref(mat.ring, mat.entries, pivots_only=True)
-    return len(pivots)
+    empty = np.zeros((mat.rows, 0), dtype=np.int64)
+    picks, _, _ = _pick_and_solve(mat.ring, mat.entries, empty, min(mat.shape))
+    return len(picks)
 
 
 def is_full_row_rank(mat: RMatrix) -> bool:
@@ -321,65 +325,17 @@ def is_full_row_rank(mat: RMatrix) -> bool:
 def right_inverse(mat: RMatrix) -> RMatrix:
     """An N with mat @ N = identity, for a full-row-rank k x n matrix.
 
-    From U @ mat = E in reduced echelon form, the pivot columns of E
-    form an identity, so placing the rows of U at the pivot positions
-    of an n x k zero matrix gives a right inverse.
+    The walk over the rows of mat^T picks the pivot columns P of mat
+    and solves mat[:, P]^T X = I_n[P]; X^T is mat[:, P]^{-1} on the
+    rows P and zero elsewhere, a right inverse.
     """
-    k, n = mat.rows, mat.cols
-    _, U, pivots = _rref(mat.ring, mat.entries)
-    if len(pivots) < k:
+    k, n = mat.shape
+    picks, x, _ = _pick_and_solve(mat.ring, mat.entries.T, np.eye(n, dtype=np.int64), k)
+    if len(picks) < k:
         raise NotFullRowRank(
-            f"matrix has unit rank {len(pivots)} < {k} rows; no right inverse"
+            f"matrix has unit rank {len(picks)} < {k} rows; no right inverse"
         )
-    return _right_inverse_from(mat.ring, U, pivots, n)
-
-
-def _right_inverse_from(ring: RingSpec, U: np.ndarray, pivots: list[int], n: int) -> RMatrix:
-    """The right inverse that the elimination U @ G = E of a full-row-rank
-    k x n matrix G determines: row i of U at row pivots[i], zeros elsewhere."""
-    N = np.zeros((n, len(pivots)), dtype=np.int64)
-    N[pivots, :] = U
-    return RMatrix(ring, N)
-
-
-def _pick_and_solve(ring: RingSpec, a: np.ndarray, b: np.ndarray, count: int):
-    """Pick the first `count` rows of a that raise its unit rank, and
-    solve the picked rows of a @ x = b, for count = a.shape[1].
-
-    Walks the rows of [a | b] in order and keeps the picked ones as a
-    reduced echelon basis.  Each new row is reduced against the basis
-    with one product; a unit entry left in its `a` part means the row
-    raises the unit rank, so it is picked, its first unit column becomes
-    its pivot, and that column is cleared out of the basis rows.  Once
-    all `count` columns are pivots the `b` column of the basis holds x.
-
-    Returns (picks, x).  With fewer than `count` picks every row has
-    been walked, len(picks) is the unit rank of a, and x is meaningless.
-    """
-    m, p = ring.m, ring.p
-    cols = a.shape[1]
-    rows = np.concatenate([a, b[:, None]], axis=1) % m
-    basis = np.zeros((count, cols + 1), dtype=np.int64)
-    pivots = np.zeros(count, dtype=np.intp)
-    picks: list[int] = []
-    for i, row in enumerate(rows):
-        r = len(picks)
-        if r == count:
-            break
-        if r:
-            row = (row - _mod_matmul(row[None, pivots[:r]], basis[:r], m)[0]) % m
-        units = row[:cols] % p != 0
-        if not units.any():
-            continue
-        c = int(units.argmax())
-        row = row * ring.inverse(int(row[c])) % m
-        basis[:r] = (basis[:r] - basis[:r, c, None] * row) % m
-        basis[r] = row
-        pivots[r] = c
-        picks.append(i)
-    x = np.zeros(cols, dtype=np.int64)
-    x[pivots[: len(picks)]] = basis[: len(picks), cols]
-    return picks, x
+    return RMatrix(mat.ring, x.T.copy())
 
 
 def solve_unique(a: RMatrix, b: RVector) -> RVector:
@@ -391,13 +347,13 @@ def solve_unique(a: RMatrix, b: RVector) -> RVector:
         raise DimensionMismatch(f"system matrix must be square, got {a.shape}")
     if a.rows != len(b):
         raise DimensionMismatch(f"{a.shape} system with length-{len(b)} right side")
-    picks, x = _pick_and_solve(a.ring, a.entries, b.entries, a.rows)
+    picks, x, _ = _pick_and_solve(a.ring, a.entries, b.entries[:, None], a.rows)
     if len(picks) < a.rows:
         raise Singular(
             f"system matrix has unit rank {len(picks)} < {a.rows}; "
             "no unique solution"
         )
-    return RVector(a.ring, x)
+    return RVector(a.ring, x[:, 0])
 
 
 def select_independent_rows(mat: RMatrix, count: int) -> list[int]:
@@ -406,7 +362,8 @@ def select_independent_rows(mat: RMatrix, count: int) -> list[int]:
     taken iff it raises the unit rank of the rows above it."""
     if count < 0 or count > mat.rows:
         raise BadParameters(f"cannot select {count} rows from {mat.rows}")
-    picks, _ = _pick_and_solve(mat.ring, mat.entries, np.zeros(mat.rows, np.int64), count)
+    empty = np.zeros((mat.rows, 0), dtype=np.int64)
+    picks, _, _ = _pick_and_solve(mat.ring, mat.entries, empty, count)
     if len(picks) < count:
         raise NotEnoughIndependentRows(
             f"only {len(picks)} independent rows found, needed {count}"
@@ -417,14 +374,15 @@ def select_independent_rows(mat: RMatrix, count: int) -> list[int]:
 def left_null_vector(mat: RMatrix) -> RVector:
     """A nonzero x with x @ mat = 0, for a matrix without full row rank.
 
-    Any pivotless row of the echelon form is all-nilpotent, so p^{e-1}
-    times the corresponding transform row annihilates the matrix while
-    itself keeping a nonzero (since U is invertible) coordinate.
+    The walk over [mat | I] skips some row i.  Its reduced identity part
+    u has u @ mat equal to its reduced mat part, which is all nilpotent,
+    and u_i = 1, since the basis rows it was reduced by are combinations
+    of rows above i only.  So p^{e-1} u annihilates mat and is nonzero.
     """
     ring = mat.ring
-    _, U, pivots = _rref(ring, mat.entries)
-    rank = len(pivots)
-    if rank == mat.rows:
+    _, _, skipped = _pick_and_solve(
+        ring, mat.entries, np.eye(mat.rows, dtype=np.int64), mat.rows
+    )
+    if skipped is None:
         raise BadParameters("matrix has full row rank; no nonzero left null vector")
-    witness = U[rank] * ring.p ** (ring.e - 1) % ring.m
-    return RVector(ring, witness)
+    return RVector(ring, skipped * ring.p ** (ring.e - 1) % ring.m)

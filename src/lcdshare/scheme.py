@@ -181,20 +181,20 @@ def recover(code: LinearCode, shares: Sequence[Share]) -> RVector:
         )
     coefficients = (c_matrix @ code.G_plus).entries
     xy = np.array([(share.x % m, share.y % m) for share in shares], dtype=np.int64)
-    picked, g = _pick_and_solve(code.ring, coefficients, xy[:, 0], k)
+    picked, g, _ = _pick_and_solve(code.ring, coefficients, xy[:, :1], k)
     if len(picked) < k:
         raise NotEnoughIndependentShares(
             f"only {len(picked)} independent rows found, needed {k}"
         )
     truncated = coefficients[picked, : n - k]
-    dual_picks, h = _pick_and_solve(code.ring, truncated, xy[picked, 1], n - k)
+    dual_picks, h, _ = _pick_and_solve(code.ring, truncated, xy[picked, 1:], n - k)
     if len(dual_picks) < n - k:
         # impossible for a valid LCD code; inputs must be corrupted
         raise InternalSingular(
             f"only {len(dual_picks)} independent rows found, needed {n - k}"
         )
-    base = code.G_plus @ RVector(code.ring, g)
-    correction = code.gram_inverse @ (RVector(code.ring, h) - code.H @ base)
+    base = code.G_plus @ RVector(code.ring, g[:, 0])
+    correction = code.gram_inverse @ (RVector(code.ring, h[:, 0]) - code.H @ base)
     return base + correction @ code.H
 
 

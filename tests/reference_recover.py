@@ -7,6 +7,11 @@ stacked n x n system with the full elimination and its transform; the
 LCD check is the rank of the stacked (G over H), as is_lcd computed it.
 lcdshare.scheme.recover must return the same secret or raise the same
 class with the same message on every input.
+
+_rref is the Gauss-Jordan elimination the library used before the row
+walk became its only elimination.  Everything here eliminates with it,
+so the differential tests (and test_elimination_differential.py) check
+the walk against an independent routine rather than against itself.
 """
 
 from __future__ import annotations
@@ -26,21 +31,62 @@ from lcdshare.errors import (
     NotLcd,
     Singular,
 )
-from lcdshare.linalg import (
-    RMatrix,
-    RVector,
-    _mod_matmul,
-    _rref,
-    is_full_row_rank,
-    stack_rows,
-    vector,
-)
+from lcdshare.linalg import RMatrix, RVector, _mod_matmul, stack_rows, vector
+from lcdshare.ring import RingSpec
 from lcdshare.scheme import Share
+
+
+def _rref(ring: RingSpec, a: np.ndarray, pivots_only: bool = False):
+    """Reduced row echelon form using unit pivots only.
+
+    Returns (E, U, pivots) with U @ a == E (mod m), U invertible, and
+    pivots the list of pivot column indices in increasing order.  Rows
+    that end without a pivot consist entirely of nilpotent entries.
+
+    Pivot choice is deterministic: first eligible column, topmost unit
+    entry within it.  The search reads only the rows below the pivots
+    found so far, so with pivots_only the elimination skips U (returned
+    as None) and the rows above each pivot, and yields the same pivots
+    from a plain echelon form E.
+    """
+    m, p = ring.m, ring.p
+    rows, cols = a.shape
+    E = a.astype(np.int64, copy=True) % m
+    U = None if pivots_only else np.eye(rows, dtype=np.int64)
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        hits = np.nonzero(E[r:, c] % p != 0)[0]
+        if hits.size == 0:
+            continue
+        i = r + int(hits[0])
+        if i != r:
+            E[[r, i]] = E[[i, r]]
+            if U is not None:
+                U[[r, i]] = U[[i, r]]
+        inv = ring.inverse(int(E[r, c]))
+        E[r] = E[r] * inv % m
+        if pivots_only:
+            below = E[r + 1 :, c:]
+            below[:] = (below - np.outer(below[:, 0], E[r, c:])) % m
+        else:
+            U[r] = U[r] * inv % m
+            factors = E[:, c].copy()
+            factors[r] = 0
+            E = (E - np.outer(factors, E[r])) % m
+            U = (U - np.outer(factors, U[r])) % m
+        pivots.append(c)
+        r += 1
+    return E, U, pivots
 
 
 def is_lcd(code: LinearCode) -> bool:
     """LCD test via invertibility of the stacked (G over H) matrix."""
-    return is_full_row_rank(stack_rows([code.G, code.H]))
+    stacked = stack_rows([code.G, code.H])
+    _, _, pivots = _rref(code.ring, stacked.entries, pivots_only=True)
+    return len(pivots) == stacked.rows
 
 
 def _check_code(code: LinearCode) -> None:

@@ -265,6 +265,14 @@ def test_usage_errors_exit_2(tmp_path, capsys, data_dir):
     )
     assert code == 2 and "comma-separated integers" in err
 
+    for blank in ("", " "):  # an empty --ids is not "every share"
+        code, out, err = run(
+            capsys, "recover", "--code", str(data_dir / "f2_8_5.code"),
+            "--shares", str(data_dir / "f2_8_5.shares"), "--ids", blank,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"usage error: --ids must be comma-separated integers, got {blank!r}\n"
+
 
 def test_inline_secret_validation(tmp_path, capsys, data_dir):
     base = ["deal", "--code", str(data_dir / "f2_8_5.code"), "--count", "5",

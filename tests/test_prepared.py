@@ -1,7 +1,8 @@
 """Per-code cached data, the batched dealer and auditor, the vectorised
-generator and the rank-only elimination."""
+generator, and the codes that generation pins."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from lcdshare import (
     verify_shares,
 )
 from lcdshare.errors import DimensionMismatch, InvalidShare, ValidationError
-from lcdshare.linalg import _rref
 
 MASK = (1 << 64) - 1
 MODULI = [2, 4, 256, 65521, 2**31 - 1, 3**19, 3 * 2**62, 2**63 + 1]
@@ -116,10 +116,11 @@ def test_gram_elimination_runs_once_per_code_object(z256_code, monkeypatch):
     g, h, n, k = z256_code.G, z256_code.H, z256_code.n, z256_code.k
     fresh = LinearCode(ring=g.ring, n=n, k=k, G=g, H=h)
     lcd_calls, eliminated = [], []
-    is_lcd, rref = codes.is_lcd, codes._rref
+    is_lcd, walk = codes.is_lcd, codes._pick_and_solve
     monkeypatch.setattr(codes, "is_lcd", lambda code: lcd_calls.append(code) or is_lcd(code))
     monkeypatch.setattr(
-        codes, "_rref", lambda ring, a, **kw: eliminated.append(a.shape) or rref(ring, a, **kw)
+        codes, "_pick_and_solve",
+        lambda ring, a, b, count: eliminated.append(a.shape) or walk(ring, a, b, count),
     )
     secret = vector(fresh.ring, range(7, 7 + n))
     shares, _ = deal(fresh, secret, count=100, seed=6)
@@ -174,23 +175,6 @@ def test_recover_reports_shares_in_order(z256_code):
         recover(code, mixed)
 
 
-# ------------------------------------------------- rank-only elimination
-
-
-@pytest.mark.parametrize("p, e", [(2, 1), (2, 2), (3, 2), (65521, 1)])
-def test_rank_only_elimination_finds_the_pivots_of_the_full_one(p, e):
-    ring = make_ring(p, e)
-    rng = np.random.default_rng(p * 10 + e)
-    for trial in range(150):
-        rows, cols = rng.integers(1, 20, size=2)
-        a = rng.integers(0, ring.m, size=(rows, cols))
-        if trial % 2:  # mostly nilpotent entries: multiples of p
-            a = np.where(rng.random((rows, cols)) < 0.85, a * p % ring.m, a)
-        _, U, pivots = _rref(ring, a, pivots_only=True)
-        assert U is None
-        assert pivots == _rref(ring, a)[2]
-
-
 # ------------------------------------- one elimination per generated code
 
 
@@ -207,6 +191,68 @@ def test_generated_codes_take_g_plus_from_their_own_elimination(monkeypatch):
         assert calls == []  # validate() took the G^+ of parity_check_from_generator
         seeded, fresh = code.G_plus.entries, right_inverse(code.G).entries
         assert seeded.dtype == fresh.dtype and np.array_equal(seeded, fresh)
+
+
+# sha256 of the bytes of G, H and G^+ from random_lcd_code for the three
+# benchmark shapes; a change of elimination must not change any of them.
+GENERATED_DIGESTS = {
+    (2, 8, 64, 40, 1): (
+        "625aa16854cb955ec4bc3ede75bd2265164c53adfbe2a3ad9ad348db86ae776d",
+        "c0e9afaf37884099f05b4eb8997998cc3fe93c53bc09d703b5fd27a747e22f5a",
+        "75290477e9098f7f59a58300249c19d59d1c97dc78bf5d5baf1a3c271fd6a35e",
+    ),
+    (2, 8, 64, 40, 2): (
+        "cc3a1fbc093ecaf037bcd40ae3d997ec828d319e3c4672f964cf4a49945149b0",
+        "0f678c28adf207c8f1d3116ac90f8f0061e586117ffe812c68b8545e02b15741",
+        "eeec4c32684205613579e8686b9b148b67c3e56dbdd26de0df80b49a99006b31",
+    ),
+    (2, 8, 64, 40, 3): (
+        "14105bde45da37b2cc47a8bedacb62049d889a54c6b7a7cabf43d3903e08d9a9",
+        "bdaa47f7bd9d48dc3b395e3b18e1d3fbdb390688ee5532be99e5d32908f70619",
+        "6b85397fff3f2cf5f6a97736bc5081fe4f57ca3163be546f5b425ed15f790e63",
+    ),
+    (2, 2, 32, 16, 1): (
+        "acd5f7a2aba3bb0e232553dd914eb8196c75f50578eeb4091f6c736d1d2d2e77",
+        "6fb8f9bba4b7495ad1d8e440e0b389edd37a62a9312ed190543ee10012ed87b3",
+        "2d33ff95794a662956ef028ac11490c297a9a0fcea8c36d0aae9d0a66510ea63",
+    ),
+    (2, 2, 32, 16, 2): (
+        "951e94c4597e6b190305b4d4212c087edb335f27baee0833d52c5afdd0305081",
+        "5f3b9adb1ac46343b9f11910fc506e9c4b7838be61548e3406065d5856929d41",
+        "b553abc50239ce4517d32235cc210a3ac80d4a20a13c77f638cc9f5308c56f24",
+    ),
+    (2, 2, 32, 16, 3): (
+        "e28e1cd4407740d2d655c6258e127dd6ed9fed4115b929a9dd722e45524d8ec1",
+        "9a8f43f3f51a7fca7dcf91eaf5228424c0b1f759f8bf7a89ebf7daa5a2653c83",
+        "fe51e33c58c071ba2409e6a1bd32d7cfc12469f462d03ca52551416365b5960d",
+    ),
+    (65521, 1, 64, 40, 1): (
+        "b6a636b1231d8fff1537533761e8fbdb5b3006395aaa63d8c50b9146d35eb966",
+        "d3807e8999e2bc3eae3eb83a73eba7e703c71e0ce6e8b14a470f0e6e64774290",
+        "15f1902e24794b4701b00f6ec7c68082f30d221d4213a7c1d7fa0ebabded6c6e",
+    ),
+    (65521, 1, 64, 40, 2): (
+        "031d29cf367a7b4a3444dcbebe8b7f718b08f43b3581240aadf4832b4a7fcd07",
+        "2856e170f00df06e0b264dd2382f4f95329f73064588ef84ff2e1faede4d2d1c",
+        "b51e343614fc8389b52f9c01138f9d83ee14a5d1f155ef7ab788da3cbb22e453",
+    ),
+    (65521, 1, 64, 40, 3): (
+        "df764cb3713b968203ec35bed70da4cddf7f5f9636e47a7ab9c2ec3e2bef6019",
+        "56857e7b6bac5f9a7f0a0c68e16b333c5e9c4c047c1e797b0a568f21bb922f04",
+        "1776294b0ec7a5adf47c297c94e59041ff6ed15f3c7c127848b84db6f646a955",
+    ),
+}
+
+
+@pytest.mark.parametrize("p, e, n, k, seed", sorted(GENERATED_DIGESTS))
+def test_generated_codes_are_pinned(p, e, n, k, seed):
+    code = random_lcd_code(make_ring(p, e), n, k, seed)
+    digests = tuple(
+        hashlib.sha256(mat.entries.tobytes()).hexdigest()
+        for mat in (code.G, code.H, code.G_plus)
+    )
+    assert all(mat.entries.dtype == np.int64 for mat in (code.G, code.H, code.G_plus))
+    assert digests == GENERATED_DIGESTS[p, e, n, k, seed]
 
 
 def test_a_given_g_plus_must_be_a_right_inverse():

@@ -10,7 +10,7 @@ import io
 import json
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_readers as ref
@@ -188,15 +188,36 @@ KINDS = list(REPLACEMENTS) + [
 ]
 
 
+def _part(node, path) -> str:
+    """The part of a document a node belongs to: an id, a share's x or
+    y, a residue entry of a row, another scalar (a header field such as
+    n, p or the seed), or a list or object."""
+    last = path[-1] if path else None
+    if last == "id":
+        return "id"
+    if last in ("x", "y"):
+        return "x/y"
+    if isinstance(node, (dict, list)):
+        return "list or object"
+    return "entry" if isinstance(last, int) else "header field"
+
+
 def corrupted(data: bytes, draw) -> bytes:
-    """One corruption, its kind drawn first so that rare kinds such as
-    a duplicate id are as likely as a replaced residue."""
+    """One corruption.  The part of the document is drawn first, then a
+    kind that applies in it, then a node, so that a field each share
+    has once (its id, x or y) is hit as often as the far more numerous
+    residue entries, and a rare kind such as a duplicate id is as likely
+    as a replaced residue."""
     doc = json.loads(data)
     m = doc["ring"]["p"] ** doc["ring"]["e"]
-    how = draw(st.sampled_from(KINDS))
-    paths = [path for path in _paths(doc) if how in _corruptions(_node(doc, path), path)]
-    assume(paths)
-    path = draw(st.sampled_from(paths))
+    sites = []
+    for path in _paths(doc):
+        node = _node(doc, path)
+        sites.append((path, _part(node, path), _corruptions(node, path)))
+    part = draw(st.sampled_from(sorted({where for _, where, _ in sites})))
+    sites = [(path, kinds) for path, where, kinds in sites if where == part]
+    how = draw(st.sampled_from([how for how in KINDS if any(how in k for _, k in sites)]))
+    path = draw(st.sampled_from([path for path, kinds in sites if how in kinds]))
     if how == "duplicate key":
         return _dumps(doc, path).encode()
     node = _node(doc, path)

@@ -30,7 +30,7 @@ from .io_formats import (
 )
 from .linalg import RVector, vector
 from .ring import parse_ring_label
-from .scheme import deal, recover, verify_shares
+from .scheme import _audit, deal, recover
 
 REMEDIES = {
     "NotPrime": "the ring must be Z_p^e with p prime; pick a prime p",
@@ -172,13 +172,12 @@ def _cmd_recover(args) -> int:
 
 def _cmd_verify(args) -> int:
     code, (ids, *columns) = _read_code_and_columns(args)
-    shares = _shares(code.ring, ids, *columns, range(len(ids)))
     secret = read_secret(args.secret)
     if secret.ring != code.ring or len(secret) != code.n:
         raise ValidationError("secret file does not match the code's ring and length")
-    verdicts = verify_shares(code, secret, shares)
-    for share, ok in zip(shares, verdicts):
-        print(f"share {share.id}: {'ok' if ok else 'FAIL'}")
+    verdicts = _audit(code, secret, *columns).tolist()
+    for pid, ok in zip(ids, verdicts):
+        print(f"share {pid}: {'ok' if ok else 'FAIL'}")
     failures = verdicts.count(False)
     if failures:
         print(f"error: {failures} share(s) failed verification", file=sys.stderr)

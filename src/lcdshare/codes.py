@@ -54,9 +54,9 @@ class LinearCode:
     the parity check matrix is the empty 0 x n matrix and the dual
     code is {0}.
 
-    G^+, Q = (H H^T)^{-1}, the LCD verdict and the dual map are cached
-    on first use; they cannot go stale, as the dataclass is frozen and
-    G, H are read-only.
+    G^+, Q = (H H^T)^{-1}, the LCD verdict, the dual map and the audit
+    block are cached on first use; they cannot go stale, as the
+    dataclass is frozen and G, H are read-only.
     A caller that has eliminated G may pass its right inverse as
     _known_G_plus; validate() checks G G^+ = I for it as for any G^+.
     """
@@ -124,6 +124,12 @@ class LinearCode:
         """The n x n matrix D = G^+[:, :n-k] H: for a codeword c = l G,
         c @ D is the dual word l[:n-k] H that the scheme pairs with it."""
         return self.G_plus.take_cols(range(self.n - self.k)) @ self.H
+
+    @cached_property
+    def audit_block(self) -> np.ndarray:
+        """The read-only n x (2n - k) int64 block [H^T | D]: one product
+        c @ audit_block gives a word's syndrome c H^T and its c D."""
+        return RMatrix(self.ring, np.hstack([self.H.entries.T, self.dual_map.entries])).entries
 
 
 def parity_check_from_generator(generator: RMatrix) -> LinearCode:

@@ -4,7 +4,8 @@ Four document kinds, conventionally named *.code, *.shares, *.secret
 and *.dealrec.  All are UTF-8 JSON with a fixed key order, two-space
 indentation and a trailing newline, so serialization is byte-stable:
 reading a document written here and writing it again reproduces the
-input exactly.
+input exactly.  The writers lay the bytes out directly (see _dumps),
+and they equal json.dumps(document, indent=2) plus the newline.
 
 Schemas (format_version is always 1):
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -59,11 +61,35 @@ class ShareFile:
 # ---------------------------------------------------------------- writing
 
 
+def _dumps(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2) byte for byte, without the pure-Python
+    encoder that indent selects; `indent` opens each line of this level.
+    Dicts with str keys and lists of containers recurse, a list of ints
+    is one %-format call, and any other value goes to json.dumps, which
+    raises as it would have."""
+    kind, inner = type(value), indent + "  "
+    if kind is int:
+        return repr(value)
+    if kind is str:
+        return _json_string(value)
+    if kind is dict and value and set(map(type, value)) == {str}:
+        items = [_json_string(k) + ": " + _dumps(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    types = set(map(type, value)) if kind is list else set()
+    if types == {int}:
+        row = "[" + inner + ("%d," + inner) * (len(value) - 1) + "%d" + indent + "]"
+        return row % tuple(value)
+    if types and types <= {dict, list}:
+        items = [_dumps(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(value, indent=2).replace("\n", indent)
+
+
 def _write(target: Target, overwrite: bool, ring: RingSpec, **fields) -> None:
     """Write one document: format_version and ring, then `fields` in
     order, as two-space indented JSON with a trailing newline."""
     document = {"format_version": FORMAT_VERSION, "ring": {"p": ring.p, "e": ring.e}}
-    data = (json.dumps({**document, **fields}, indent=2) + "\n").encode("utf-8")
+    data = (_dumps({**document, **fields}) + "\n").encode("utf-8")
     if hasattr(target, "write"):
         target.write(data)
         return

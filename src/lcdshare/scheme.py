@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .codes import LinearCode, _random_matrix, encode, is_codeword
+from .codes import LinearCode, _random_matrix, encode
 from .errors import (
     BadParameters,
     DimensionMismatch,
@@ -46,7 +46,7 @@ from .errors import (
     NotEnoughIndependentShares,
     NotLcd,
 )
-from .linalg import RMatrix, RVector, _pick_and_solve, stack_rows
+from .linalg import RMatrix, RVector, _mod_matmul, _pick_and_solve, stack_rows
 from .ring import RingSpec
 from .rng import SplitMix64
 
@@ -203,33 +203,41 @@ def verify_share(code: LinearCode, secret: RVector, share: Share) -> bool:
 
     True iff c is a codeword, x matches c . s, and y matches c . (D s)
     for the code's dual map D: for a codeword c = l G that is the dual
-    word l[:n-k] H dotted with s, because c G^+ = l exactly.
+    word l[:n-k] H dotted with s, because c G^+ = l exactly.  One
+    product with the code's cached block [H^T | D] gives c H^T and c D,
+    and one more, [c; c D] s, gives both dot products.
     """
     _check_scheme_inputs(code, secret)
-    if share.c.ring != code.ring or len(share.c) != code.n:
+    c, m, r = share.c, code.ring.m, code.n - code.k
+    if c.ring != code.ring or len(c) != code.n:
         return False
-    if not is_codeword(code, share.c):
+    sides = _mod_matmul(c.entries[None, :], code.audit_block, m)[0]
+    if np.count_nonzero(sides[:r]):
         return False
-    if (share.c @ secret) != share.x % code.ring.m:
-        return False
-    return share.c @ (code.dual_map @ secret) == share.y % code.ring.m
+    x, y = _mod_matmul(np.array((c.entries, sides[r:])), secret.entries[:, None], m)[:, 0]
+    return int(x) == share.x % m and int(y) == share.y % m
+
+
+def _audit(code: LinearCode, secret: RVector, words: np.ndarray, x, y) -> np.ndarray:
+    """verify_share's verdicts for the rows of an (N, n) int64 block of
+    codewords in the code's ring, given their x and y values reduced
+    mod m: the syndromes words H^T, and one product words [s | D s]
+    against x and y, with D s computed once."""
+    _check_scheme_inputs(code, secret)
+    m, s = code.ring.m, secret.entries[:, None]
+    xy = _mod_matmul(words, np.hstack([s, _mod_matmul(code.dual_map.entries, s, m)]), m)
+    syndromes = _mod_matmul(words, code.H.entries.T, m)
+    return ~syndromes.any(axis=1) & (xy[:, 0] == x) & (xy[:, 1] == y)
 
 
 def verify_shares(
     code: LinearCode, secret: RVector, shares: Sequence[Share]
 ) -> list[bool]:
-    """verify_share for every share, with one product per check: the
-    syndromes C H^T, C s against x and C (D s) against y."""
-    _check_scheme_inputs(code, secret)
+    """verify_share for every share: False for a share whose codeword
+    is in another ring or of another length, one _audit of the rest."""
     m = code.ring.m
     ok = np.array([s.c.ring == code.ring and len(s.c) == code.n for s in shares], dtype=bool)
-    if ok.any():
-        picked = [share for share, fit in zip(shares, ok) if fit]
-        words = stack_rows([share.c for share in picked])
-        xy = np.array([(share.x % m, share.y % m) for share in picked], dtype=np.int64)
-        ok[ok] = (
-            ~(words @ code.H.T).entries.any(axis=1)
-            & ((words @ secret).entries == xy[:, 0])
-            & ((words @ (code.dual_map @ secret)).entries == xy[:, 1])
-        )
+    kept = [share for share, fit in zip(shares, ok) if fit]
+    words = np.array([s.c.entries for s in kept], dtype=np.int64).reshape(-1, code.n)
+    ok[ok] = _audit(code, secret, words, [s.x % m for s in kept], [s.y % m for s in kept])
     return ok.tolist()

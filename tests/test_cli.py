@@ -404,6 +404,24 @@ def test_recover_ids_builds_only_the_named_shares(z4_file_of_200, capsys, monkey
     assert len(built) == 4
 
 
+def test_verify_builds_no_shares(z4_file_of_200, tmp_path, capsys, monkeypatch):
+    code_path, shares_path, code, by_id = z4_file_of_200
+    secret_path = tmp_path / "dealt.secret"
+    write_secret(secret_path, vector(code.ring, [1, 0, 2, 3, 1, 0]))
+    built = []
+    real_init = Share.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Share, "__init__", counting_init)
+    rc, out, err = run(capsys, "verify", "--code", str(code_path), "--shares",
+                       str(shares_path), "--secret", str(secret_path))
+    assert (rc, err, len(built)) == (0, "", 0)
+    assert out == "".join(f"share {pid}: ok\n" for pid in by_id)
+
+
 def _expected_recover_run(code, by_id, shares_path, ids):
     """(exit code, stdout, stderr) of the command, derived from recover
     on read_shares objects."""

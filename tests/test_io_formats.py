@@ -1,5 +1,6 @@
 """Document serialization: canonical bytes out, strict validation in."""
 
+import hashlib
 import io
 import json
 import re
@@ -11,10 +12,15 @@ import reference_data as refdata
 from conftest import build_code, build_secret, build_shares
 
 from lcdshare import (
+    SplitMix64,
+    deal,
+    make_ring,
+    random_lcd_code,
     read_code,
     read_deal_record,
     read_secret,
     read_shares,
+    vector,
     write_code,
     write_deal_record,
     write_secret,
@@ -224,3 +230,38 @@ def test_share_file_reexport_matches_fresh_build(data_dir, tmp_path):
     target = tmp_path / "copy.shares"
     write_shares(target, ShareFile(ring=loaded.ring, n=loaded.n, shares=loaded.shares))
     assert target.read_bytes() == (data_dir / "f2_8_4.shares").read_bytes()
+
+
+# sha256 of the .code, .shares, .secret and .dealrec bytes of a 1000-share
+# deal on an [64, 40] code; the files in tests/data hold one-digit
+# residues only, so these pin the layout of multi-digit rows.
+DEAL_DIGESTS = {
+    (65521, 11): (
+        "d50fc81d2b4befbe0733a89aa95a412650d23f9e098d8ed567a9578c02795338",
+        "4d6ea82eec8d5c20e0282abf259bdf5217552c4dd3bb9bf403dfcc1ae2247c1f",
+        "827e90aa963427617aa0458983beda88ac21e3d4a0ed79aa8e7f5d0690ec06ff",
+        "08bccf5a293cb748c240fecb6cdee60a0ed82453f9ef8080cc272b79a058a462",
+    ),
+    (2**31 - 1, 12): (
+        "596b29e79fc127e9e5bcd892255303a9757152138b6aebc7b7fa143d13fc3b90",
+        "6a925dea8d9312a3f110a05af16da698729544f9bc5d11ed6a6b466f4d73004a",
+        "00839e3d0f17171a72e3933a60165b52735c61c0c30c082aa7aa387157a6c5d4",
+        "f3d6b1ec30bef7a8c0ca565ab9ac37d4a63eedc2c69b337b9f5fa8908c23e406",
+    ),
+}
+
+
+@pytest.mark.parametrize("p, seed", sorted(DEAL_DIGESTS))
+def test_large_ring_documents_are_pinned(p, seed):
+    ring = make_ring(p, 1)
+    code = random_lcd_code(ring, 64, 40, seed)
+    secret = vector(ring, SplitMix64(seed).residues(64, ring.m))
+    shares, record = deal(code, secret, 1000, seed)
+    documents = [
+        dumped(write_code, code),
+        dumped(write_shares, ShareFile(ring, 64, tuple(shares))),
+        dumped(write_secret, secret),
+        dumped(write_deal_record, record),
+    ]
+    digests = tuple(hashlib.sha256(doc).hexdigest() for doc in documents)
+    assert digests == DEAL_DIGESTS[p, seed]

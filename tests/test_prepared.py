@@ -133,13 +133,29 @@ def test_gram_elimination_runs_once_per_code_object(z256_code, monkeypatch):
 def test_code_data_is_read_only(z256_code):
     code = z256_code
     cached = (code.G_plus, code.dual_map, code.gram_inverse)
-    for arr in (code.G.entries, code.H.entries) + tuple(mat.entries for mat in cached):
+    arrays = (code.G.entries, code.H.entries, code.audit_block)
+    for arr in arrays + tuple(mat.entries for mat in cached):
         with pytest.raises(ValueError):
             arr[0, 0] = 1
     with pytest.raises(dataclasses.FrozenInstanceError):
         code.G = code.H
     with pytest.raises(dataclasses.FrozenInstanceError):
         code.G.entries = code.H.entries
+
+
+def test_only_verify_share_builds_the_audit_block(z256_code):
+    g, h, n, k = z256_code.G, z256_code.H, z256_code.n, z256_code.k
+    fresh = LinearCode(ring=g.ring, n=n, k=k, G=g, H=h)
+    secret = vector(fresh.ring, range(2, 2 + n))
+    shares, record = deal(fresh, secret, count=50, seed=3)
+    assert deal_one(fresh, secret, record.coefficients[0][1]) == shares[0]
+    assert recover(fresh, shares[5:30]) == secret
+    assert all(verify_shares(fresh, secret, shares))
+    assert "audit_block" not in vars(fresh)
+    assert verify_share(fresh, secret, shares[0])
+    block = vars(fresh)["audit_block"]
+    assert block.shape == (n, 2 * n - k) and block.dtype == np.int64
+    assert np.array_equal(block, np.hstack([h.entries.T, fresh.dual_map.entries]))
 
 
 def test_recover_names_the_first_bad_share(z256_code):

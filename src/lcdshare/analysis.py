@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import BadParameters
-from .ring import is_prime
+from .ring import ring_of_size
 
 
 def extension_count(k: int, t: int, q: int) -> Fraction:
@@ -91,12 +91,14 @@ class SecurityReport:
 def table_row(n: int, k: int, q: int, t: int | None = None) -> SecurityReport:
     """Assemble the report for one (n, k, q) row.
 
+    q must be the size of a ring make_ring accepts, q = p**e <= 2**31 - 1.
     t defaults to k - 1, the strongest unauthorized coalition.  The
     heuristic flag is set when q is a proper prime power (e > 1), the
     case where the field-style counting is only an estimate.
     """
     if not 1 <= k <= n:
         raise BadParameters(f"need 1 <= k <= n, got k={k}, n={n}")
+    ring = ring_of_size(q)
     if t is None:
         t = k - 1
     return SecurityReport(
@@ -108,7 +110,7 @@ def table_row(n: int, k: int, q: int, t: int | None = None) -> SecurityReport:
         guess_probability=guess_probability(k, t, q),
         information_rate=information_rate(n),
         coalition_count=extension_count(k, 0, q),
-        ring_heuristic_flag=not is_prime(q),
+        ring_heuristic_flag=ring.e > 1,
     )
 
 

@@ -64,14 +64,17 @@ def _parse_csv_ints(text: str, what: str) -> list[int]:
         raise _Usage(f"{what} must be comma-separated integers, got {text!r}") from None
 
 
+def _require_match(code, kind: str, ring, n: int) -> None:
+    """Refuse a file of this kind whose ring or length is not the code's."""
+    if ring != code.ring or n != code.n:
+        raise ValidationError(f"{kind} file does not match the code's ring and length")
+
+
 def _load_secret(spec: str, code, allow_inline: bool) -> RVector:
     path = Path(spec)
     if path.exists():
         secret = read_secret(path)
-        if secret.ring != code.ring or len(secret) != code.n:
-            raise ValidationError(
-                "secret file does not match the code's ring and length"
-            )
+        _require_match(code, "secret", secret.ring, len(secret))
         return secret
     if "," not in spec:
         raise _Usage(
@@ -142,8 +145,7 @@ def _read_code_and_columns(args):
     once its ring and length match the code's."""
     code = read_code(args.code)
     ring, n, *columns = _share_columns(args.shares)
-    if ring != code.ring or n != code.n:
-        raise ValidationError("shares file does not match the code's ring and length")
+    _require_match(code, "shares", ring, n)
     return code, columns
 
 
@@ -173,8 +175,7 @@ def _cmd_recover(args) -> int:
 def _cmd_verify(args) -> int:
     code, (ids, *columns) = _read_code_and_columns(args)
     secret = read_secret(args.secret)
-    if secret.ring != code.ring or len(secret) != code.n:
-        raise ValidationError("secret file does not match the code's ring and length")
+    _require_match(code, "secret", secret.ring, len(secret))
     verdicts = _audit(code, secret, *columns).tolist()
     for pid, ok in zip(ids, verdicts):
         print(f"share {pid}: {'ok' if ok else 'FAIL'}")

@@ -18,6 +18,9 @@ Residues are plain decimal integers.  Parsing is strict: unknown or
 missing fields, duplicate fields, or wrong JSON types raise ParseError;
 documents that parse but break a domain invariant (residue out of
 range, G H^T != 0, duplicate participant id, ...) raise ValidationError.
+Each check runs over a whole block of residue rows (_residue_block) or
+a whole list of participant records (_records) at once, and walks it
+entry by entry only to name the first fault of a block that fails.
 Writers refuse to replace an existing file unless overwrite is set.
 """
 
@@ -44,7 +47,6 @@ Target = Union[str, Path, object]
 
 _TYPE_NAMES = {int: "an integer", dict: "an object", list: "an array"}
 _LENGTH = "{row} has length {got}, expected n={width}"
-_SHARE_FIELDS = dict.fromkeys(("id", "c", "x", "y")).keys()
 
 
 @dataclass(frozen=True)
@@ -161,15 +163,6 @@ def _parse(source: Target) -> dict:
     return document
 
 
-def _expect_fields(obj: dict, fields: Sequence[str], where: str) -> None:
-    missing = [f for f in fields if f not in obj]
-    unknown = [f for f in obj if f not in fields]
-    if missing:
-        raise ParseError(f"{where}: missing field {missing[0]!r}")
-    if unknown:
-        raise ParseError(f"{where}: unknown field {unknown[0]!r}")
-
-
 def _expect(value, kind: type, where: str):
     """value itself, if its JSON type is kind; a bool is not an int."""
     if type(value) is not kind:
@@ -177,16 +170,26 @@ def _expect(value, kind: type, where: str):
     return value
 
 
+def _object(value, fields: Sequence[str], where: str) -> dict:
+    """value itself, if it is an object with exactly these fields."""
+    _expect(value, dict, where)
+    missing = [f for f in fields if f not in value]
+    unknown = [f for f in value if f not in fields]
+    if missing:
+        raise ParseError(f"{where}: missing field {missing[0]!r}")
+    if unknown:
+        raise ParseError(f"{where}: unknown field {unknown[0]!r}")
+    return value
+
+
 def _document(source: Target, kind: str, *fields: str) -> tuple[dict, RingSpec, int]:
     """Parse a document and check the part every kind shares: its field
     set, format_version, ring and n."""
-    document = _parse(source)
-    _expect_fields(document, ("format_version", "ring", "n") + fields, kind)
+    document = _object(_parse(source), ("format_version", "ring", "n") + fields, kind)
     version = _expect(document.get("format_version"), int, f"{kind}.format_version")
     if version != FORMAT_VERSION:
         raise ParseError(f"{kind}: unsupported format_version {version}")
-    ring_obj = _expect(document.get("ring"), dict, f"{kind}.ring")
-    _expect_fields(ring_obj, ("p", "e"), f"{kind}.ring")
+    ring_obj = _object(document.get("ring"), ("p", "e"), f"{kind}.ring")
     p = _expect(ring_obj["p"], int, f"{kind}.ring.p")
     e = _expect(ring_obj["e"], int, f"{kind}.ring.e")
     try:
@@ -243,7 +246,20 @@ def _residue_block(rows: list, width: int, m: int, row: str, length: str = _LENG
     raise AssertionError("a block that fails a check has a first bad entry")
 
 
-def _unique_ids(ids: list[int]) -> list[int]:
+def _records(entries: list, where: str, fields: Sequence[str], low_id: str) -> list[int]:
+    """The ids of a list of participant records, each an object with
+    exactly `fields`, an integer id >= 1 among them, and no id twice.
+    `low_id` formats the message for an id below 1 from where and pid."""
+    keys = set(fields)
+    whole = set(map(type, entries)) <= {dict} and all(obj.keys() == keys for obj in entries)
+    ids = [obj["id"] for obj in entries] if whole else []
+    if not (whole and set(map(type, ids)) <= {int} and min(ids, default=1) >= 1):
+        for i, obj in enumerate(entries):
+            name = f"{where}[{i}]"
+            pid = _expect(_object(obj, fields, name)["id"], int, f"{name}.id")
+            if pid < 1:
+                raise ValidationError(low_id.format(where=name, pid=pid))
+        raise AssertionError("a list that fails a check has a first bad record")
     if len(set(ids)) != len(ids):
         seen: set[int] = set()
         first = next(pid for pid in ids if pid in seen or seen.add(pid))
@@ -273,27 +289,17 @@ def _share_columns(source: Target):
     """Check a shares document and return it as columns: ring, n, the
     ids, the (N, n) int64 block of codewords, and the x and y values.
 
-    As in _residue_block, each check is one pass over the whole
-    document: every share a dict with exactly the fields id, c, x, y;
-    one set of id types and the least id; one set of x and y types and
-    their least and greatest value.  Only a check that fails walks the
-    shares, to name the first bad one as a per-share reader would."""
+    Past _records and _residue_block, the x and y values are checked
+    by one set of types and their least and greatest value, and only a
+    failing check walks the shares to name the first bad one."""
     document, ring, n = _document(source, "shares document", "shares")
     if n < 1:
         raise ValidationError(f"length n must be >= 1, got {n}")
     entries = _expect(document["shares"], list, "shares")
-    whole = set(map(type, entries)) <= {dict} and all(
-        obj.keys() == _SHARE_FIELDS for obj in entries
+    ids = _records(
+        entries, "shares", ("id", "c", "x", "y"),
+        "{where}: participant id must be >= 1, got {pid}",
     )
-    ids = [obj["id"] for obj in entries] if whole else []
-    if not (whole and set(map(type, ids)) <= {int} and min(ids, default=1) >= 1):
-        for i, obj in enumerate(entries):
-            where = f"shares[{i}]"
-            _expect_fields(_expect(obj, dict, where), ("id", "c", "x", "y"), where)
-            pid = _expect(obj["id"], int, f"{where}.id")
-            if pid < 1:
-                raise ValidationError(f"{where}: participant id must be >= 1, got {pid}")
-        raise AssertionError("a document that fails a check has a first bad share")
     words = _residue_block(
         [obj["c"] for obj in entries], n, ring.m, "shares[{i}].c",
         "shares[{i}]: c has length {got}, expected n={width}",
@@ -310,7 +316,7 @@ def _share_columns(source: Target):
                     raise ValidationError(
                         f"shares[{i}].{key}[0]: residue {v} out of range 0..{ring.m - 1}"
                     )
-    return ring, n, _unique_ids(ids), words, xs, ys
+    return ring, n, ids, words, xs, ys
 
 
 def _shares(ring: RingSpec, ids, words, xs, ys, rows: Sequence[int]) -> tuple[Share, ...]:
@@ -328,8 +334,7 @@ def read_shares(source: Target) -> ShareFile:
 
 def read_secret(source: Target) -> RVector:
     document, ring, n = _document(source, "secret document", "secret")
-    secret_obj = _expect(document["secret"], dict, "secret")
-    _expect_fields(secret_obj, ("s",), "secret")
+    secret_obj = _object(document["secret"], ("s",), "secret")
     values = _expect(secret_obj["s"], list, "secret.s")
     return RVector(ring, _residue_block([values], n, ring.m, "secret.s")[0])
 
@@ -339,17 +344,12 @@ def read_deal_record(source: Target) -> DealRecord:
     k = _expect(document["k"], int, "deal record.k")
     if not 1 <= k <= n:
         raise ValidationError(f"dimension k={k} outside 1..n={n}")
-    deal_obj = _expect(document["deal"], dict, "deal")
-    _expect_fields(deal_obj, ("seed", "l"), "deal")
+    deal_obj = _object(document["deal"], ("seed", "l"), "deal")
     seed = _expect(deal_obj["seed"], int, "deal.seed")
     if seed < 0:
         raise ValidationError(f"deal.seed must be >= 0, got {seed}")
     entries = _expect(deal_obj["l"], list, "deal.l")
-    for i, obj in enumerate(entries):
-        _expect_fields(_expect(obj, dict, f"deal.l[{i}]"), ("id", "l"), f"deal.l[{i}]")
-        if _expect(obj["id"], int, f"deal.l[{i}].id") < 1:
-            raise ValidationError(f"deal.l[{i}]: participant id must be >= 1")
-    ids = _unique_ids([obj["id"] for obj in entries])
+    ids = _records(entries, "deal.l", ("id", "l"), "{where}: participant id must be >= 1")
     rows = _residue_block(
         [obj["l"] for obj in entries], k, ring.m, "deal.l[{i}].l",
         "{row} has length {got}, expected k={width}",

@@ -13,9 +13,10 @@ and its failure is equivalent to the existence of a nonzero left null
 vector; both directions are constructive here.
 
 Vectors and matrices are immutable wrappers around int64 numpy arrays
-in canonical residue form.  Products are reduced in chunks sized so
-that no intermediate ever exceeds the int64 range, which keeps every
-operation exact for any modulus up to 2**31 - 1.
+in canonical residue form, with one `@` that shapes its result as
+numpy does.  Products are reduced in chunks sized so that no
+intermediate ever exceeds the int64 range, which keeps every operation
+exact for any modulus up to 2**31 - 1.
 
 All elimination is one routine, _pick_and_solve, with a fixed pivot
 policy for reproducibility: walk the rows in order, take each row that
@@ -60,8 +61,6 @@ def _mod_matmul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     inner dimension and this is one plain matmul.
     """
     inner = a.shape[-1]
-    if inner == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     per_product = max(1, (m - 1) * (m - 1))
     chunk = max(1, (_INT64_MAX - m) // per_product)
     if inner <= chunk:
@@ -133,6 +132,24 @@ class _RArray:
     def __neg__(self):
         return type(self)(self.ring, -self.entries)
 
+    def __matmul__(self, other):
+        """The exact product, shaped as numpy shapes it: a vector is a
+        row on the left and a column on the right, so vector @ vector is
+        an int and every other pairing an RVector or RMatrix."""
+        if not isinstance(other, _RArray):
+            return NotImplemented
+        self._require_same_ring(other)
+        a, b = self.entries, other.entries
+        if a.shape[-1] != b.shape[0]:
+            raise DimensionMismatch(f"shapes {a.shape} @ {b.shape}")
+        shape = a.shape[:-1] + b.shape[1:]
+        rows = a[None, :] if a.ndim == 1 else a
+        cols = b[:, None] if b.ndim == 1 else b
+        prod = _mod_matmul(rows, cols, self.ring.m).reshape(shape)
+        if not shape:
+            return int(prod)
+        return (RVector if len(shape) == 1 else RMatrix)(self.ring, prod)
+
 
 class RVector(_RArray):
     """Immutable vector over a ring; entries canonical in [0, m)."""
@@ -151,26 +168,6 @@ class RVector(_RArray):
     @property
     def is_zero(self) -> bool:
         return not self.entries.any()
-
-    def __matmul__(self, other):
-        # vector @ vector -> scalar, vector @ matrix -> vector (numpy rules)
-        if isinstance(other, RVector):
-            self._require_same_ring(other)
-            if len(self) != len(other):
-                raise DimensionMismatch(f"lengths {len(self)} and {len(other)}")
-            prod = _mod_matmul(
-                self.entries[None, :], other.entries[:, None], self.ring.m
-            )
-            return int(prod[0, 0])
-        if isinstance(other, RMatrix):
-            self._require_same_ring(other)
-            if len(self) != other.rows:
-                raise DimensionMismatch(
-                    f"vector length {len(self)} vs {other.rows} matrix rows"
-                )
-            prod = _mod_matmul(self.entries[None, :], other.entries, self.ring.m)
-            return RVector(self.ring, prod[0])
-        return NotImplemented
 
 
 class RMatrix(_RArray):
@@ -203,20 +200,6 @@ class RMatrix(_RArray):
 
     def take_cols(self, indices: Sequence[int]) -> "RMatrix":
         return RMatrix(self.ring, self.entries[:, list(indices)])
-
-    def __matmul__(self, other):
-        if isinstance(other, RMatrix):
-            self._require_same_ring(other)
-            if self.cols != other.rows:
-                raise DimensionMismatch(f"{self.shape} @ {other.shape}")
-            return RMatrix(self.ring, _mod_matmul(self.entries, other.entries, self.ring.m))
-        if isinstance(other, RVector):
-            self._require_same_ring(other)
-            if self.cols != len(other):
-                raise DimensionMismatch(f"{self.shape} @ vector of length {len(other)}")
-            prod = _mod_matmul(self.entries, other.entries[:, None], self.ring.m)
-            return RVector(self.ring, prod[:, 0])
-        return NotImplemented
 
     @classmethod
     def identity(cls, ring: RingSpec, n: int) -> "RMatrix":

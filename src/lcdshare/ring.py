@@ -6,20 +6,20 @@ what the rest of the package leans on: Gaussian elimination only ever
 needs to decide "can this entry be a pivot", and the answer is exactly
 "is it a unit".
 
-Elements are plain Python ints held in canonical form 0 <= a < p**e.
+Elements are plain Python ints held in canonical form 0 <= a < p**e,
+where p**e <= 2**31 - 1: make_ring refuses a larger p without a test.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import chain
+from math import isqrt
 
 from .errors import BadParameters, NotAUnit, NotPrime, Overflow
 
 MAX_MODULUS = 2**31 - 1
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# the least odd composite that no base in _WITNESSES exposes (OEIS A014233)
-_WITNESSES_EXACT_BELOW = 318_665_857_834_031_151_167_461
 
 
 class ElementKind(enum.Enum):
@@ -27,20 +27,14 @@ class ElementKind(enum.Enum):
     NILPOTENT = "nilpotent"
 
 
+def _least_prime_factor(n: int) -> int:
+    """The least prime factor of n >= 2, by trial division."""
+    return next((d for d in chain((2,), range(3, isqrt(n) + 1, 2)) if n % d == 0), n)
+
+
 def is_prime(p: int) -> bool:
     """Deterministic trial division; p <= 2**31 - 1 keeps this cheap."""
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    return p >= 2 and _least_prime_factor(p) == p
 
 
 @dataclass(frozen=True)
@@ -79,49 +73,17 @@ class RingSpec:
         return pow(a, -1, self.m)
 
 
-def _has_composite_witness(p: int) -> bool:
-    """True if one of the first twelve primes divides p > 37 or is a
-    Miller-Rabin witness for it, either of which proves p composite.
-    Below _WITNESSES_EXACT_BELOW every composite p has such a witness;
-    above it only the division is tried, as the witness search costs
-    time that grows with p."""
-    if any(p % a == 0 for a in _WITNESSES):
-        return True
-    if p >= _WITNESSES_EXACT_BELOW:
-        return False
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _WITNESSES:
-        x = pow(a, d, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return True
-    return False
-
-
 def make_ring(p: int, e: int) -> RingSpec:
     """Validate (p, e) and build the ring Z_{p^e}.
 
     p must be prime, e >= 1, and p**e <= 2**31 - 1 so that products of
-    two residues always fit in a signed 64-bit word.  Up to that bound p
-    is checked by trial division.  A larger p is called not prime when
-    one of the first twelve primes divides it or is a Miller-Rabin
-    witness for it, which finds every composite p below 3.1 * 10**23;
-    any other p is refused with Overflow, as p**e exceeds the bound
-    whatever p is.  Trial division up to sqrt(p) would stall there.
+    two residues always fit in a signed 64-bit word.  p is checked by
+    trial division only up to that bound; a larger p, prime or not, is
+    refused with Overflow, as p**e exceeds the bound whatever p is.
     """
     if e < 1:
         raise BadParameters(f"exponent must be >= 1, got {e}")
-    if p <= MAX_MODULUS:
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
-    elif _has_composite_witness(p):
+    if p <= MAX_MODULUS and not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if e * p.bit_length() > 14_000:  # p**e has 4,000+ digits: too slow to build and print
         raise Overflow(f"{p}^{e} exceeds the supported bound {MAX_MODULUS}")
@@ -131,17 +93,27 @@ def make_ring(p: int, e: int) -> RingSpec:
     return RingSpec(p=p, e=e, m=m)
 
 
+def ring_of_size(q: int) -> RingSpec:
+    """The ring Z_q, for a prime power q = p**e that make_ring accepts.
+
+    The bound is checked first, so the trial division that finds p, the
+    least prime factor of q, stays below sqrt(2**31 - 1).
+    """
+    if q > MAX_MODULUS:
+        raise Overflow(f"ring size {q} exceeds the supported bound {MAX_MODULUS}")
+    if q < 2:
+        raise BadParameters(f"ring size must be >= 2, got {q}")
+    p = _least_prime_factor(q)
+    e = next(e for e in range(1, q.bit_length() + 1) if p**e >= q)
+    if p**e != q:
+        raise NotPrime(f"ring size {q} is not a prime power")
+    return make_ring(p, e)
+
+
 def parse_ring_label(text: str) -> RingSpec:
     """Parse 'p^e' (or bare 'p', meaning e = 1) into a ring."""
-    parts = text.split("^")
-    if len(parts) == 1:
-        p_text, e_text = parts[0], "1"
-    elif len(parts) == 2:
-        p_text, e_text = parts
-    else:
-        raise BadParameters(f"ring must look like 'p^e', got {text!r}")
     try:
-        p, e = int(p_text), int(e_text)
+        p, e = map(int, (text if "^" in text else text + "^1").split("^"))
     except ValueError:
         raise BadParameters(f"ring must look like 'p^e', got {text!r}") from None
     return make_ring(p, e)

@@ -8,6 +8,7 @@ space.  The closed-form values must match these counts exactly.
 
 import itertools
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from lcdshare import (
     report_to_dict,
     table_row,
 )
-from lcdshare.errors import BadParameters
+from lcdshare.errors import BadParameters, NotPrime, Overflow
 
 
 # ---------------------------------------------------------------- oracles
@@ -178,6 +179,19 @@ def test_flag_cleared_for_prime_rings():
     assert not table_row(8, 5, 2).ring_heuristic_flag
     assert not table_row(8, 4, 3).ring_heuristic_flag
     assert table_row(8, 4, 9).ring_heuristic_flag
+
+
+def test_table_row_takes_only_ring_sizes():
+    # q must be p^e <= 2^31 - 1; 2^61 - 1 is refused before any trial division
+    assert not table_row(4, 2, 5).ring_heuristic_flag
+    assert table_row(4, 2, 9).ring_heuristic_flag
+    for q in (6, 12):
+        with pytest.raises(NotPrime, match=rf"^ring size {q} is not a prime power$"):
+            table_row(4, 2, q)
+    start = time.perf_counter()
+    with pytest.raises(Overflow):
+        table_row(4, 2, 2**61 - 1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_render_text_content():

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -141,6 +142,19 @@ def test_analyze_flags_prime_power_rings(capsys):
     assert code == 0 and "prime power" not in out
 
 
+def test_analyze_accepts_only_ring_sizes(capsys):
+    code, out, err = run(capsys, "analyze", "--n", "8", "--k", "4", "--q", "9")
+    assert code == 0 and "caveat: q is a proper prime power" in out
+    for q in ("6", "12"):
+        code, out, err = run(capsys, "analyze", "--n", "4", "--k", "2", "--q", q)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: NotPrime: ring size {q} is not a prime power\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", "--n", "4", "--k", "2", "--q", str(2**61 - 1))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "") and "error: Overflow" in err and "hint:" in err
+
+
 # ----------------------------------------------------------- domain errors
 
 
@@ -195,6 +209,17 @@ def test_gen_code_rejects_composite_ring(tmp_path, capsys):
         "--seed", "1", "--out", str(tmp_path / "x.code"),
     )
     assert code == 1 and "error: NotPrime" in err and "hint:" in err
+
+
+def test_gen_code_refuses_a_ring_above_the_bound(tmp_path, capsys):
+    # 2^32 + 1 = 641 * 6700417 is composite, but above 2^31 - 1 the
+    # bound is what refuses it, before any primality test
+    code, out, err = run(
+        capsys, "gen-code", "--ring", "4294967297^1", "--n", "4", "--k", "2",
+        "--seed", "1", "--out", str(tmp_path / "x.code"),
+    )
+    assert code == 1 and "error: Overflow" in err and "hint: keep p^e at or below" in err
+    assert not (tmp_path / "x.code").exists()
 
 
 def test_overwrite_refusal_and_consent(tmp_path, capsys):

@@ -9,12 +9,14 @@ submatrices, and brute-force enumeration over small rings.
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcdshare import (
     RMatrix,
+    RVector,
     is_full_row_rank,
     left_null_vector,
     make_ring,
@@ -212,6 +214,56 @@ def test_matmul_associative(data):
     )
     a, b, c = draw_mat(i, j), draw_mat(j, k), draw_mat(k, l)
     assert (a @ b) @ c == a @ (b @ c)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_matmul_follows_numpy_shapes(data):
+    """Every operand pairing against a plain-Python product: a vector is
+    a row on the left and a column on the right, vector @ vector is an
+    int, and zero-size shapes work (H is 0 x n when k = n)."""
+    ring = data.draw(st.sampled_from(RINGS + [make_ring(2**31 - 1, 1)]))
+    left_vector, right_vector = data.draw(st.booleans()), data.draw(st.booleans())
+    rows = 1 if left_vector else data.draw(st.integers(0, 4))
+    inner = data.draw(st.integers(0, 4))
+    cols = 1 if right_vector else data.draw(st.integers(0, 4))
+    elem = st.integers(0, ring.m - 1)
+    a = [[data.draw(elem) for _ in range(inner)] for _ in range(rows)]
+    b = [[data.draw(elem) for _ in range(cols)] for _ in range(inner)]
+    want = [
+        [sum(a[i][t] * b[t][j] for t in range(inner)) % ring.m for j in range(cols)]
+        for i in range(rows)
+    ]
+    as_array = lambda values, shape: np.array(values, dtype=np.int64).reshape(shape)
+    left = (RVector(ring, as_array(a[0], inner)) if left_vector
+            else RMatrix(ring, as_array(a, (rows, inner))))
+    right = (RVector(ring, as_array(b, inner)) if right_vector
+             else RMatrix(ring, as_array(b, (inner, cols))))
+    got = left @ right
+    if left_vector and right_vector:
+        assert type(got) is int and got == want[0][0]
+    elif left_vector:
+        assert type(got) is RVector and got.tolist() == want[0]
+    elif right_vector:
+        assert type(got) is RVector and got.tolist() == [row[0] for row in want]
+    else:
+        assert type(got) is RMatrix and got.shape == (rows, cols) and got.tolist() == want
+
+
+def test_matmul_mismatch_names_both_shapes():
+    r4, r9 = make_ring(2, 2), make_ring(3, 2)
+    cases = [
+        (vector(r4, [1, 2]), vector(r4, [1, 2, 3]), r"^shapes \(2,\) @ \(3,\)$"),
+        (vector(r4, [1, 2]), matrix(r4, [[1, 2]]), r"^shapes \(2,\) @ \(1, 2\)$"),
+        (matrix(r4, [[1, 2]]), vector(r4, [1]), r"^shapes \(1, 2\) @ \(1,\)$"),
+        (matrix(r4, [[1, 2]]), matrix(r4, [[1, 2]]), r"^shapes \(1, 2\) @ \(1, 2\)$"),
+        (vector(r4, [1, 2]), vector(r9, [1, 2]), r"^mixed rings Z_4 and Z_9$"),
+    ]
+    for left, right, message in cases:
+        with pytest.raises(DimensionMismatch, match=message):
+            left @ right
+    with pytest.raises(TypeError):
+        vector(r4, [1, 2]) @ 3
 
 
 # ------------------------------------------------------------------ ranks

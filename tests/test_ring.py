@@ -61,36 +61,35 @@ def test_make_ring_refuses_huge_exponents_without_building_p_to_the_e():
 
 
 def test_a_large_p_is_refused_without_trial_division():
+    # every p above 2^31 - 1 is refused with Overflow, prime or not:
     # strong pseudoprimes to the first 4 and 9 prime bases, squares and
-    # products of primes near 2^31 and 2^35: no small factor anywhere
+    # products of primes near 2^31 and 2^35, even numbers, large primes
     composites = [3215031751, 3825123056546413051, (2**31 - 1) ** 2,
                   34359738337 * 34359738319, 3 * (2**61 - 1), 2**64]
-    for p in composites:
-        with pytest.raises(NotPrime, match=rf"^{p} is not prime$"):
-            make_ring(p, 1)
-    for p in [2**31 + 11, 2**61 - 1, 10**12 + 39, 2**89 - 1, 2**127 - 1]:
-        with pytest.raises(Overflow, match=rf"^{p}\^2 = {p**2} exceeds the supported bound"):
-            make_ring(p, 2)
+    primes = [2**31 + 11, 2**61 - 1, 10**12 + 39, 2**89 - 1, 2**127 - 1]
+    for p in composites + primes:
+        for e in (1, 2):
+            with pytest.raises(Overflow, match=rf"^{p}\^{e} = {p**e} exceeds the supported bound"):
+                make_ring(p, e)
     rng = random.Random(20261018)
     for _ in range(300):
-        p = rng.randrange(2**31, 2**78)
-        if sympy.isprime(p):
-            with pytest.raises(Overflow):
-                make_ring(p, 1)
+        with pytest.raises(Overflow):
+            make_ring(rng.randrange(2**31, 2**78), 1)
+
+
+def test_ring_of_size_accepts_exactly_the_rings_make_ring_builds():
+    # q = p^e within the bound gives make_ring(p, e); any other q is
+    # refused, one above the bound with Overflow before any division
+    for q in list(range(-3, 3000)) + [65521, 2**16, 3**19, 46337**2, MAX_MODULUS]:
+        factors = sympy.factorint(q) if q >= 2 else {}
+        if len(factors) == 1:
+            assert ring_module.ring_of_size(q) == make_ring(*factors.popitem()), q
         else:
-            with pytest.raises(NotPrime):
-                make_ring(p, 1)
-
-
-def test_the_witness_bound_is_the_least_pseudoprime_to_every_base(monkeypatch):
-    # below the bound a composite p always has a witness; the bound itself
-    # is a composite that has none, so above it the search proves nothing
-    psi = ring_module._WITNESSES_EXACT_BELOW
-    assert psi == 399165290221 * 798330580441
-    assert all(psi % a for a in ring_module._WITNESSES)
-    monkeypatch.setattr(ring_module, "_WITNESSES_EXACT_BELOW", psi + 1)
-    assert not ring_module._has_composite_witness(psi)
-    assert ring_module._has_composite_witness(3825123056546413051)
+            with pytest.raises((BadParameters, NotPrime)):
+                ring_module.ring_of_size(q)
+    for q in [MAX_MODULUS + 1, 2**31, 2**61 - 1, 6 * 2**61]:
+        with pytest.raises(Overflow, match=rf"^ring size {q} exceeds the supported bound"):
+            ring_module.ring_of_size(q)
 
 
 def test_primality_against_sympy():

@@ -135,25 +135,20 @@ class LinearCode:
 def parity_check_from_generator(generator: RMatrix) -> LinearCode:
     """Derive H from a full-row-rank G and assemble the code.
 
-    The walk that gives G^+ (see linalg.right_inverse) picks the pivot
-    columns P of G.  With E = G^+[P] G, the reduced echelon form of G,
-    which is an identity on P and G[:, P]^{-1} G[:, others] elsewhere,
-    placing -E[:, others]^T on P and an identity on the other columns
-    yields a full-row-rank H with G H^T = 0.  Column swaps are implicit:
-    pivot columns need not be the leading ones, and H comes back in the
-    original column order.  The code keeps the walk's G^+.
+    G^+ = right_inverse(G) is G[:, P]^{-1} on the rows of the pivot
+    columns P of G and zero on the others, which gives P.  With
+    E = G^+[P] G, the reduced echelon form of G, an identity on P and
+    G[:, P]^{-1} G[:, others] elsewhere, placing -E[:, others]^T on P and
+    an identity on the other columns yields a full-row-rank H with
+    G H^T = 0.  Column swaps are implicit: pivot columns need not be the
+    leading ones, and H comes back in the original column order.  The
+    code keeps this G^+, so G is eliminated once.
     """
     ring = generator.ring
     k, n = generator.shape
-    picks, x, _ = _pick_and_solve(
-        ring, generator.entries.T, np.eye(n, dtype=np.int64), k
-    )
-    if len(picks) < k:
-        raise NotFullRowRank(
-            f"generator has unit rank {len(picks)} < {k}; cannot derive parity check"
-        )
-    G_plus = RMatrix(ring, x.T.copy())
-    others = [c for c in range(n) if c not in set(picks)]
+    G_plus = right_inverse(generator)
+    pivot = G_plus.entries.any(axis=1)
+    picks, others = np.flatnonzero(pivot), np.flatnonzero(~pivot)
     H = np.zeros((n - k, n), dtype=np.int64)
     H[:, others] = np.eye(n - k, dtype=np.int64)
     H[:, picks] = -(G_plus.take_rows(picks) @ generator.take_cols(others)).entries.T
@@ -162,20 +157,11 @@ def parity_check_from_generator(generator: RMatrix) -> LinearCode:
 
 def encode(code: LinearCode, coefficients: RVector | RMatrix) -> RVector | RMatrix:
     """Codeword for a coefficient row, l @ G; one per row for a matrix."""
-    if coefficients.ring != code.ring:
-        raise DimensionMismatch("coefficient ring differs from the code ring")
-    width = coefficients.entries.shape[-1]
-    if width != code.k:
-        raise DimensionMismatch(
-            f"coefficient vector has length {width}, expected k={code.k}"
-        )
     return coefficients @ code.G
 
 
 def is_codeword(code: LinearCode, word: RVector) -> bool:
     """Parity test: word @ H^T = 0."""
-    if word.ring != code.ring or len(word) != code.n:
-        raise DimensionMismatch("word does not match the code's ring or length")
     return (word @ code.H.T).is_zero
 
 

@@ -28,6 +28,9 @@ x_i = l_i . g and y_i = l'_i . h, so it runs three steps:
    G s = g because G H^T = 0, and H s = h.
 
 The secret is the unique solution of the n x n system either way.
+
+deal builds no dual words: c'_i = c_i D for the code's cached dual map
+D = G^+[:, :n-k] H (as G G^+ = I), so x and y come from one C [s | D s].
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .codes import LinearCode, _random_matrix, encode
 from .errors import (
     BadParameters,
     DimensionMismatch,
-    InternalSingular,
     InvalidShare,
     NotEnoughIndependentShares,
     NotLcd,
@@ -92,17 +94,23 @@ def _check_scheme_inputs(code: LinearCode, secret: RVector) -> None:
         )
 
 
+def _xy(code: LinearCode, secret: RVector, words: np.ndarray) -> np.ndarray:
+    """words [s | D s] for an (N, n) int64 block of codewords: each
+    word's x = c . s and y = c . (D s), with D s computed once."""
+    m, s = code.ring.m, secret.entries[:, None]
+    return _mod_matmul(words, np.hstack([s, _mod_matmul(code.dual_map.entries, s, m)]), m)
+
+
 def _deal_rows(
     code: LinearCode, secret: RVector, coefficients: RMatrix, first_id: int
 ) -> list[Share]:
-    """Shares for every coefficient row at once: C = L G, x = C s and
-    y = (L[:, :n-k] H) s, with ids counting up from first_id."""
+    """Shares for every coefficient row at once: C = L G and
+    [x | y] = C [s | D s], with ids counting up from first_id."""
     words = encode(code, coefficients)
-    x = words @ secret
-    y = (coefficients.take_cols(range(code.n - code.k)) @ code.H) @ secret
+    xy = _xy(code, secret, words.entries).tolist()
     return [
-        Share(id=first_id + i, c=words.row(i), x=x[i], y=y[i])
-        for i in range(coefficients.rows)
+        Share(id=first_id + i, c=words.row(i), x=x, y=y)
+        for i, (x, y) in enumerate(xy)
     ]
 
 
@@ -187,12 +195,9 @@ def recover(code: LinearCode, shares: Sequence[Share]) -> RVector:
             f"only {len(picked)} independent rows found, needed {k}"
         )
     truncated = coefficients[picked, : n - k]
-    dual_picks, h, _ = _pick_and_solve(code.ring, truncated, xy[picked, 1:], n - k)
-    if len(dual_picks) < n - k:
-        # impossible for a valid LCD code; inputs must be corrupted
-        raise InternalSingular(
-            f"only {len(dual_picks)} independent rows found, needed {n - k}"
-        )
+    # the k picks are invertible mod p, so any n - k of their columns
+    # have unit rank n - k: this walk always picks n - k rows
+    _, h, _ = _pick_and_solve(code.ring, truncated, xy[picked, 1:], n - k)
     base = code.G_plus @ RVector(code.ring, g[:, 0])
     correction = code.gram_inverse @ (RVector(code.ring, h[:, 0]) - code.H @ base)
     return base + correction @ code.H
@@ -224,9 +229,8 @@ def _audit(code: LinearCode, secret: RVector, words: np.ndarray, x, y) -> np.nda
     mod m: the syndromes words H^T, and one product words [s | D s]
     against x and y, with D s computed once."""
     _check_scheme_inputs(code, secret)
-    m, s = code.ring.m, secret.entries[:, None]
-    xy = _mod_matmul(words, np.hstack([s, _mod_matmul(code.dual_map.entries, s, m)]), m)
-    syndromes = _mod_matmul(words, code.H.entries.T, m)
+    xy = _xy(code, secret, words)
+    syndromes = _mod_matmul(words, code.H.entries.T, code.ring.m)
     return ~syndromes.any(axis=1) & (xy[:, 0] == x) & (xy[:, 1] == y)
 
 

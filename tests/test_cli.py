@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -311,10 +313,12 @@ def test_inline_secret_validation(tmp_path, capsys, data_dir):
 
 def test_module_entry_point(data_dir):
     """python -m drives the same front end, end to end."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run(
         [sys.executable, "-m", "lcdshare", "analyze", "--n", "8", "--k", "5",
          "--q", "2", "--json"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["information_rate"]["rational"] == "4/5"
@@ -322,7 +326,7 @@ def test_module_entry_point(data_dir):
         [sys.executable, "-m", "lcdshare", "recover",
          "--code", str(data_dir / "f2_8_4.code"),
          "--shares", str(data_dir / "f2_8_4.shares"), "--ids", "1,5,11,15"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "secret: 1,1,0,0,0,0,0,1" in proc.stdout

@@ -207,6 +207,12 @@ def test_corrupted_deal_records_are_rejected(data_dir):
         read_deal_record(mutated_bytes(path, lambda d: d["deal"].pop("seed")))
 
 
+def test_a_deal_record_id_of_zero_is_rejected(data_dir):
+    path = data_dir / "z4_8_4.dealrec"
+    with pytest.raises(ValidationError, match=r"^deal\.l\[2\]: participant id must be >= 1$"):
+        read_deal_record(mutated_bytes(path, lambda d: d["deal"]["l"][2].update(id=0)))
+
+
 def test_malformed_bytes_are_parse_errors(data_dir):
     raw = (data_dir / "z4_8_4.code").read_bytes()
     with pytest.raises(ParseError, match="invalid document"):

@@ -6,6 +6,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lcdshare import (
     LinearCode,
@@ -15,6 +17,7 @@ from lcdshare import (
     codes,
     deal,
     deal_one,
+    linalg,
     make_ring,
     random_lcd_code,
     recover,
@@ -23,7 +26,7 @@ from lcdshare import (
     verify_share,
     verify_shares,
 )
-from lcdshare.errors import DimensionMismatch, InvalidShare, ValidationError
+from lcdshare.errors import DimensionMismatch, GenerationFailed, InvalidShare, ValidationError
 
 MASK = (1 << 64) - 1
 MODULI = [2, 4, 256, 65521, 2**31 - 1, 3**19, 3 * 2**62, 2**63 + 1]
@@ -88,6 +91,31 @@ def test_dual_map_gives_the_dealt_dual_words(z256_code):
     for _, l in record.coefficients:
         truncated = vector(code.ring, l.tolist()[: code.n - code.k])
         assert (l @ code.G) @ code.dual_map == truncated @ code.H
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ring=st.sampled_from([(2, 1), (2, 2), (3, 2), (65521, 1)]),
+    shape=st.sampled_from(["2k = n", "k = n", "n < 2k < 2n"]),
+    size=st.integers(1, 4),
+    count=st.integers(1, 10),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_dealt_y_is_the_dual_word_dotted_with_the_secret(ring, shape, size, count, seed):
+    """The paper's definition: y_i = c'_i . s with c'_i = l_i[:n-k] H."""
+    ring = make_ring(*ring)
+    n, k = {"2k = n": (2 * size, size), "k = n": (2 * size - 1, 2 * size - 1),
+            "n < 2k < 2n": (2 * size + 1, size + 1)}[shape]
+    try:
+        code = random_lcd_code(ring, n, k, seed, max_tries=200)
+    except GenerationFailed:
+        assume(False)
+    secret = vector(ring, np.random.default_rng(seed % 2**32).integers(0, ring.m, size=n))
+    shares, record = deal(code, secret, count=count, seed=seed)
+    for (pid, l), share in zip(record.coefficients, shares):
+        assert share.id == pid and share.c == l @ code.G
+        assert share.x == share.c @ secret
+        assert share.y == (vector(ring, l.tolist()[: n - k]) @ code.H) @ secret
 
 
 def test_lcd_elimination_runs_once_per_code_object(z256_code, monkeypatch):
@@ -195,16 +223,27 @@ def test_recover_reports_shares_in_order(z256_code):
 
 
 def test_generated_codes_take_g_plus_from_their_own_elimination(monkeypatch):
-    calls = []
+    drawn, walked = [], []
 
-    def counting(mat):
-        calls.append(mat)
-        return right_inverse(mat)
+    def drawing(*args):
+        generator = random_matrix(*args)
+        drawn.append(generator.entries)
+        return generator
 
-    monkeypatch.setattr(codes, "right_inverse", counting)
+    def counting(ring, a, b, count):
+        walked.append(a)
+        return pick_and_solve(ring, a, b, count)
+
+    random_matrix, pick_and_solve = codes._random_matrix, linalg._pick_and_solve
+    monkeypatch.setattr(codes, "_random_matrix", drawing)
+    monkeypatch.setattr(linalg, "_pick_and_solve", counting)
+    monkeypatch.setattr(codes, "_pick_and_solve", counting)
     for p, e in [(2, 1), (2, 2), (3, 2), (65521, 1)]:
+        drawn.clear()
+        walked.clear()
         code = random_lcd_code(make_ring(p, e), n=12, k=7, seed=p + e)
-        assert calls == []  # validate() took the G^+ of parity_check_from_generator
+        for generator in drawn:  # one walk over G^T per draw, accepted or not
+            assert sum(np.array_equal(a, generator.T) for a in walked) == 1
         seeded, fresh = code.G_plus.entries, right_inverse(code.G).entries
         assert seeded.dtype == fresh.dtype and np.array_equal(seeded, fresh)
 

@@ -134,6 +134,7 @@ REPLACEMENTS = {
     "float": 1.5,
     "string": "1",
     "negative": -1,
+    "zero": 0,
     "int64 overflow": 2**64,
 }
 

@@ -1,8 +1,10 @@
 """Step-by-step recovery for a fixed binary [8, 5] code.
 
-This walks the exact mechanics the solver uses: rebuild the dealer's
+This shows the paper's stacked system: rebuild the dealer's
 coefficient rows through the right inverse of G, truncate them, push
-them through H to get dual-code rows, and solve the stacked system.
+them through H to get dual-code rows, and solve the stacked n x n
+system.  recover solves the same system in an equivalent way, with one
+row walk and one product (see the lcdshare.scheme docstring).
 """
 
 from lcdshare import (

@@ -16,10 +16,10 @@ and [G^+ | H^T] is injective (G kills the H^T part and returns the
 G^+ part; H^T is injective as H has full row rank), hence invertible
 over the finite ring Z_{p^e}.  The row walk that inverts H H^T
 (linalg._pick_and_solve with B = I) yields both the verdict and the
-cached Q = (H H^T)^{-1} that recovery uses.  For k = n, H H^T is
-0 x 0 and the code is LCD.  is_lcd_oracle instead enumerates both
-codes and intersects them, so the two must agree and can cross-check
-each other.
+cached Q = (H H^T)^{-1}, from which recovery's M^{-1} is built.  For
+k = n, H H^T is 0 x 0 and the code is LCD.  is_lcd_oracle instead
+enumerates both codes and intersects them, so the two must agree and
+can cross-check each other.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ class LinearCode:
     the parity check matrix is the empty 0 x n matrix and the dual
     code is {0}.
 
-    G^+, Q = (H H^T)^{-1}, the LCD verdict, the dual map and the audit
-    block are cached on first use; they cannot go stale, as the
+    G^+, Q = (H H^T)^{-1}, the LCD verdict, M^{-1}, the dual map and the
+    audit block are cached on first use; they cannot go stale, as the
     dataclass is frozen and G, H are read-only.
     A caller that has eliminated G may pass its right inverse as
     _known_G_plus; validate() checks G G^+ = I for it as for any G^+.
@@ -113,6 +113,17 @@ class LinearCode:
             self.ring, gram, np.eye(size, dtype=np.int64), size
         )
         return RMatrix(self.ring, inverse) if len(picks) == size else None
+
+    @cached_property
+    def stacked_inverse(self) -> RMatrix | None:
+        """M^{-1} = [G^+ - H^T Q H G^+ | H^T Q] for M = (G over H), so
+        M^{-1} [g; h] is the s with G s = g and H s = h (G H^T = 0 and
+        H H^T Q = I give M M^{-1} = I); None when the code is not LCD."""
+        if self.gram_inverse is None:
+            return None
+        dual = self.H.T @ self.gram_inverse
+        primal = self.G_plus - dual @ (self.H @ self.G_plus)
+        return RMatrix(self.ring, np.hstack([primal.entries, dual.entries]))
 
     @cached_property
     def lcd(self) -> bool:

@@ -282,8 +282,9 @@ def _pick_and_solve(ring: RingSpec, a: np.ndarray, b: np.ndarray, count: int):
                 skipped = row[cols:]
             continue
         c = int(units.argmax())
-        row = row * ring.inverse(int(row[c])) % m
-        basis[:r] = (basis[:r] - basis[:r, c, None] * row) % m
+        row = row * pow(int(row[c]), -1, m) % m  # a unit, so invertible
+        basis[:r] -= basis[:r, c, None] * row
+        basis[:r] %= m
         basis[r] = row
         pivots[r] = c
         picks.append(i)

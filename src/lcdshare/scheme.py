@@ -17,17 +17,18 @@ The scheme needs 2k >= n so that the truncation from l to l' removes
 2k - n trailing coordinates and leaves exactly n - k of them.
 
 recover never builds that n x n system.  With g = G s and h = H s,
-x_i = l_i . g and y_i = l'_i . h, so it runs three steps:
+x_i = l_i . g and y_i = l'_i . h = l_i . (h; 0), h padded with zeros:
 
-1. pick the first k shares whose rows l_i = c_i G^+ are independent
-   and solve l_i . g = x_i on them, in one pass over the rows;
-2. among those, pick the first n - k independent rows l'_i and solve
-   l'_i . h = y_i the same way;
-3. rebuild s = G^+ g + H^T Q (h - H G^+ g) with the code's cached
-   Q = (H H^T)^{-1}, which exists because the code is LCD.  Then
-   G s = g because G H^T = 0, and H s = h.
+1. one walk over the rows l_i = c_i G^+ of [L | x | y] picks the
+   first k independent ones, P, and solves L_P [g | z] = [x_P | y_P];
+   as L_P is invertible, z = (h; 0) for honest shares;
+2. s = M^{-1} [g; h] is one product with the code's cached
+   M^{-1} = [G^+ - H^T Q H G^+ | H^T Q], Q = (H H^T)^{-1}, which exists
+   because the code is LCD: G s = g as G H^T = 0, and H s = h.
 
-The secret is the unique solution of the n x n system either way.
+If a tampered y leaves z nonzero below the first n - k, h instead
+solves the first n - k independent truncations l'_i among the picks,
+the dual equations the stacked n x n system takes.
 
 deal builds no dual words: c'_i = c_i D for the code's cached dual map
 D = G^+[:, :n-k] H (as G G^+ = I), so x and y come from one C [s | D s].
@@ -160,13 +161,10 @@ def deal(
 def recover(code: LinearCode, shares: Sequence[Share]) -> RVector:
     """Reconstruct the secret from at least k independent shares.
 
-    Steps: reject non-codeword shares; recompute every coefficient row
-    l_i = c_i G^+ (exact, as c_i = l_i G); walk the rows in order and
-    pick the first k independent ones while solving l_i . g = x_i for
-    g = G s; among those picks, take the first n - k independent
-    truncations l_i[:n-k] while solving l_i[:n-k] . h = y_i for h = H s;
-    rebuild s = G^+ g + H^T Q (h - H G^+ g) with the code's cached
-    Q = (H H^T)^{-1}.  Exactly k shares are consumed; extras beyond the
+    Rejects non-codeword shares, recomputes every coefficient row
+    l_i = c_i G^+ (exact, as c_i = l_i G) and runs the steps in the
+    module docstring: one walk over [L | x | y] for g and h, then
+    s = M^{-1} [g; h].  Exactly k shares are consumed; extras beyond the
     selection only matter for auditing via verify_share.
     """
     _check_code(code)
@@ -175,9 +173,9 @@ def recover(code: LinearCode, shares: Sequence[Share]) -> RVector:
     # share is reported as such, exactly as a per-share loop would
     fits = [share.c.ring == code.ring and len(share.c) == n for share in shares]
     first_foreign = fits.index(False) if False in fits else len(shares)
+    words = np.array([share.c.entries for share in shares[:first_foreign]], dtype=np.int64)
     if first_foreign:
-        c_matrix = stack_rows([share.c for share in shares[:first_foreign]])
-        bad = np.flatnonzero((c_matrix @ code.H.T).entries.any(axis=1))
+        bad = np.flatnonzero(_mod_matmul(words, code.H.entries.T, m).any(axis=1))
         if bad.size:
             raise InvalidShare(f"share {shares[bad[0]].id}: c is not a codeword")
     if first_foreign < len(shares):
@@ -187,20 +185,19 @@ def recover(code: LinearCode, shares: Sequence[Share]) -> RVector:
         raise NotEnoughIndependentShares(
             f"{len(shares)} shares supplied, need at least k={k}"
         )
-    coefficients = (c_matrix @ code.G_plus).entries
+    coefficients = _mod_matmul(words, code.G_plus.entries, m)
     xy = np.array([(share.x % m, share.y % m) for share in shares], dtype=np.int64)
-    picked, g, _ = _pick_and_solve(code.ring, coefficients, xy[:, :1], k)
+    picked, gz, _ = _pick_and_solve(code.ring, coefficients, xy, k)
     if len(picked) < k:
         raise NotEnoughIndependentShares(
             f"only {len(picked)} independent rows found, needed {k}"
         )
-    truncated = coefficients[picked, : n - k]
-    # the k picks are invertible mod p, so any n - k of their columns
-    # have unit rank n - k: this walk always picks n - k rows
-    _, h, _ = _pick_and_solve(code.ring, truncated, xy[picked, 1:], n - k)
-    base = code.G_plus @ RVector(code.ring, g[:, 0])
-    correction = code.gram_inverse @ (RVector(code.ring, h[:, 0]) - code.H @ base)
-    return base + correction @ code.H
+    g, h = gz[:, 0], gz[: n - k, 1]
+    if gz[n - k :, 1].any():
+        truncated = coefficients[picked, : n - k]
+        h = _pick_and_solve(code.ring, truncated, xy[picked, 1:], n - k)[1][:, 0]
+    s = _mod_matmul(code.stacked_inverse.entries, np.concatenate([g, h])[:, None], m)
+    return RVector(code.ring, s[:, 0])
 
 
 def verify_share(code: LinearCode, secret: RVector, share: Share) -> bool:

@@ -19,6 +19,7 @@ from lcdshare import (
     RVector,
     is_full_row_rank,
     left_null_vector,
+    linalg,
     make_ring,
     matrix,
     right_inverse,
@@ -200,6 +201,55 @@ def test_products_with_huge_modulus_stay_exact():
         for i in range(3)
     ]
     assert got == want
+
+
+def int_walk(m, p, a, b, count):
+    """The row walk of _pick_and_solve on Python ints, which cannot
+    overflow: picks, x and the reduced right side of the first skipped
+    row, under the same pivot policy."""
+    cols = len(a[0])
+    basis, pivots, picks, skipped = [], [], [], None
+    for i, row in enumerate(list(ra) + list(rb) for ra, rb in zip(a, b)):
+        if len(picks) == count:
+            break
+        for c, pivot_row in zip(pivots, basis):
+            f = row[c]
+            row = [(v - f * w) % m for v, w in zip(row, pivot_row)]
+        units = [c for c in range(cols) if row[c] % p]
+        if not units:
+            skipped = row[cols:] if skipped is None else skipped
+            continue
+        c, inv = units[0], pow(row[units[0]], -1, m)
+        row = [v * inv % m for v in row]
+        basis = [[(v - r[c] * w) % m for v, w in zip(r, row)] for r in basis]
+        basis, pivots, picks = basis + [row], pivots + [c], picks + [i]
+    x = [[0] * len(b[0]) for _ in range(cols)]
+    for c, pivot_row in zip(pivots, basis):
+        x[c] = pivot_row[cols:]
+    return picks, x, skipped
+
+
+@pytest.mark.parametrize("m, count", [(2**31 - 1, 2), (2**31 - 1, 3), (2**31 - 1, 5), (65521, 64)])
+def test_walk_products_stay_exact_at_the_overflow_boundary(m, count):
+    """Blocks of m - 1 make every residue product as large as it can
+    be.  At m = 2^31 - 1 a sum of two such products fits in int64 and
+    a sum of three does not, so at count 5 each row is reduced with
+    the chunked product."""
+    ring, top = make_ring(m, 1), m - 1
+    flat = [[top] * count for _ in range(count + 2)]  # unit rank 1
+    # the rows e_i + (m-1) elsewhere stay in the basis as they are, so
+    # the all-(m-1) row after them sums count - 1 products (m-1)^2
+    full = [[1 if j == i else top for j in range(count)] for i in range(count - 1)]
+    full += flat[:3]
+    for a in (flat, full):
+        b = [[top, 1, top * (i % 2)] for i in range(len(a))]
+        picks, x, skipped = linalg._pick_and_solve(ring, np.array(a), np.array(b), count)
+        want_picks, want_x, want_skipped = int_walk(m, m, a, b, count)
+        assert picks == want_picks and x.tolist() == want_x
+        assert (skipped is None and want_skipped is None) or skipped.tolist() == want_skipped
+    assert len(picks) == count
+    rows = np.array([full[i] for i in picks], dtype=object)
+    assert ((rows @ np.array(x, dtype=object)) % m).tolist() == [b[i] for i in picks]
 
 
 @settings(max_examples=60)

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import reference_recover as ref
+
 from lcdshare import (
     LinearCode,
     RMatrix,
@@ -22,11 +24,19 @@ from lcdshare import (
     random_lcd_code,
     recover,
     right_inverse,
+    scheme,
+    stack_rows,
     vector,
     verify_share,
     verify_shares,
 )
-from lcdshare.errors import DimensionMismatch, GenerationFailed, InvalidShare, ValidationError
+from lcdshare.errors import (
+    DimensionMismatch,
+    GenerationFailed,
+    InvalidShare,
+    NotEnoughIndependentShares,
+    ValidationError,
+)
 
 MASK = (1 << 64) - 1
 MODULI = [2, 4, 256, 65521, 2**31 - 1, 3**19, 3 * 2**62, 2**63 + 1]
@@ -150,17 +160,25 @@ def test_gram_elimination_runs_once_per_code_object(z256_code, monkeypatch):
         codes, "_pick_and_solve",
         lambda ring, a, b, count: eliminated.append(a.shape) or walk(ring, a, b, count),
     )
+    library_walks = []
+    library_walk = linalg._pick_and_solve
+    monkeypatch.setattr(
+        linalg, "_pick_and_solve",
+        lambda *args: library_walks.append(args) or library_walk(*args),
+    )
     secret = vector(fresh.ring, range(7, 7 + n))
     shares, _ = deal(fresh, secret, count=100, seed=6)
     for i in range(100):
         assert recover(fresh, shares[i:] + shares[:i]) == secret
     assert lcd_calls == [fresh]
     assert eliminated == [(n - k, n - k)]  # H H^T, once, for Q and the verdict
+    # M^{-1} is built from the cached G^+ and Q with products alone
+    assert "stacked_inverse" in vars(fresh) and library_walks == []
 
 
 def test_code_data_is_read_only(z256_code):
     code = z256_code
-    cached = (code.G_plus, code.dual_map, code.gram_inverse)
+    cached = (code.G_plus, code.dual_map, code.gram_inverse, code.stacked_inverse)
     arrays = (code.G.entries, code.H.entries, code.audit_block)
     for arr in arrays + tuple(mat.entries for mat in cached):
         with pytest.raises(ValueError):
@@ -169,6 +187,27 @@ def test_code_data_is_read_only(z256_code):
         code.G = code.H
     with pytest.raises(dataclasses.FrozenInstanceError):
         code.G.entries = code.H.entries
+
+
+STACKED_RINGS = [(2, 1), (2, 2), (3, 2), (2, 8), (65521, 1), (2**31 - 1, 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_stacked_inverse_inverts_g_over_h(data):
+    ring = make_ring(*data.draw(st.sampled_from(STACKED_RINGS)))
+    n = data.draw(st.integers(1, 8))
+    shape = data.draw(st.sampled_from(["k = n", "n = 2k", "any"]))
+    if shape == "n = 2k":
+        n += n % 2
+    k = n if shape == "k = n" else n // 2 if shape == "n = 2k" else data.draw(st.integers(1, n))
+    try:
+        code = random_lcd_code(ring, n, k, data.draw(st.integers(0, 2**64 - 1)), max_tries=200)
+    except GenerationFailed:
+        assume(False)
+    stacked, inverse = stack_rows([code.G, code.H]), code.stacked_inverse
+    assert stacked @ inverse == RMatrix.identity(ring, n)
+    assert inverse @ stacked == RMatrix.identity(ring, n)
 
 
 def test_only_verify_share_builds_the_audit_block(z256_code):
@@ -217,6 +256,48 @@ def test_recover_reports_shares_in_order(z256_code):
     mixed[9] = forged
     with pytest.raises(DimensionMismatch, match=r"^share 7 does not match the code$"):
         recover(code, mixed)
+
+
+# ------------------------------------------------ one walk per recovery
+
+
+def counted_recover(code, shares, monkeypatch):
+    """recover's secret and the number of row walks it made."""
+    walks, walk = [], scheme._pick_and_solve
+    with monkeypatch.context() as patch:
+        patch.setattr(scheme, "_pick_and_solve", lambda *a: walks.append(1) or walk(*a))
+        return recover(code, shares), len(walks)
+
+
+def test_recover_walks_once_unless_a_picked_y_is_tampered(z256_code, monkeypatch):
+    code = z256_code
+    secret = vector(code.ring, range(3, 3 + code.n))
+    shares, _ = deal(code, secret, count=14, seed=8)
+    assert counted_recover(code, shares, monkeypatch) == (secret, 1)
+    s = shares[0]  # picked, as its coefficient row is not all nilpotent
+    tampered = [Share(s.id, s.c, s.x, (s.y + 1) % code.ring.m)] + shares[1:]
+    got, walks = counted_recover(code, tampered, monkeypatch)
+    assert walks == 2 and got == ref.recover(code, tampered) != secret
+
+
+def refusal_or_secret(recover, code, shares):
+    try:
+        return "ok", recover(code, shares)
+    except NotEnoughIndependentShares as exc:
+        return NotEnoughIndependentShares, str(exc)
+
+
+def test_recover_matches_the_reference_on_the_benchmark_shape():
+    ring = make_ring(2, 2)
+    code = random_lcd_code(ring, n=32, k=16, seed=11)
+    rng = np.random.default_rng(11)
+    secret = vector(ring, rng.integers(0, ring.m, size=32))
+    shares, _ = deal(code, secret, count=300, seed=12)
+    for _ in range(40):
+        subset = [shares[i] for i in rng.choice(300, size=20, replace=False)]
+        new = refusal_or_secret(recover, code, subset)
+        assert new == refusal_or_secret(ref.recover, code, subset)
+        assert new[0] != "ok" or new[1] == secret
 
 
 # ------------------------------------- one elimination per generated code

@@ -3,8 +3,10 @@
 This shows the paper's stacked system: rebuild the dealer's
 coefficient rows through the right inverse of G, truncate them, push
 them through H to get dual-code rows, and solve the stacked n x n
-system.  recover solves the same system in an equivalent way, with one
-row walk and one product (see the lcdshare.scheme docstring).
+system.  For consistent shares recover solves the same system in an
+equivalent way, with one row walk and one product; picked y values
+that fit no common secret it refuses (see the lcdshare.scheme
+docstring).
 """
 
 from lcdshare import (

@@ -46,7 +46,6 @@ REMEDIES = {
     "NotLcd": "generate a code with gen-code, which only emits LCD codes",
     "NotEnoughIndependentShares": "supply at least k shares with independent codewords",
     "InvalidShare": "a share is corrupted; re-issue it from the dealer",
-    "InternalSingular": "inputs are inconsistent; re-check code and share files",
     "ParseError": "the file is not a well-formed document of this format",
     "ValidationError": "fix the named field or regenerate the file",
     "FileExists": "pass --overwrite to replace an existing file",

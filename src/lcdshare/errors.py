@@ -58,12 +58,8 @@ class NotEnoughIndependentShares(LcdshareError):
 
 
 class InvalidShare(LcdshareError):
-    """A share's codeword fails the parity check; likely corruption."""
-
-
-class InternalSingular(LcdshareError):
-    """The stacked recovery system was singular; impossible for a valid
-    LCD code, so treated as evidence of corrupted inputs."""
+    """A share's codeword fails the parity check, or the picked shares'
+    y values fit no common secret; likely corruption."""
 
 
 class ParseError(LcdshareError):

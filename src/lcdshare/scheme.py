@@ -26,9 +26,10 @@ x_i = l_i . g and y_i = l'_i . h = l_i . (h; 0), h padded with zeros:
    M^{-1} = [G^+ - H^T Q H G^+ | H^T Q], Q = (H H^T)^{-1}, which exists
    because the code is LCD: G s = g as G H^T = 0, and H s = h.
 
-If a tampered y leaves z nonzero below the first n - k, h instead
-solves the first n - k independent truncations l'_i among the picks,
-the dual equations the stacked n x n system takes.
+So some secret fits every picked share exactly when z is zero below
+its first n - k entries; otherwise (a tampered y, say) recover raises
+InvalidShare naming the picked ids.  When n = 2k there is no such
+entry, and a tampered picked y goes unseen.
 
 deal builds no dual words: c'_i = c_i D for the code's cached dual map
 D = G^+[:, :n-k] H (as G G^+ = I), so x and y come from one C [s | D s].
@@ -164,7 +165,8 @@ def recover(code: LinearCode, shares: Sequence[Share]) -> RVector:
     Rejects non-codeword shares, recomputes every coefficient row
     l_i = c_i G^+ (exact, as c_i = l_i G) and runs the steps in the
     module docstring: one walk over [L | x | y] for g and h, then
-    s = M^{-1} [g; h].  Exactly k shares are consumed; extras beyond the
+    s = M^{-1} [g; h].  Picked y values that fit no common secret raise
+    InvalidShare.  Exactly k shares are consumed; extras beyond the
     selection only matter for auditing via verify_share.
     """
     _check_code(code)
@@ -192,10 +194,10 @@ def recover(code: LinearCode, shares: Sequence[Share]) -> RVector:
         raise NotEnoughIndependentShares(
             f"only {len(picked)} independent rows found, needed {k}"
         )
-    g, h = gz[:, 0], gz[: n - k, 1]
     if gz[n - k :, 1].any():
-        truncated = coefficients[picked, : n - k]
-        h = _pick_and_solve(code.ring, truncated, xy[picked, 1:], n - k)[1][:, 0]
+        ids = ", ".join(str(shares[i].id) for i in picked)
+        raise InvalidShare(f"shares {ids}: their y values fit no common secret")
+    g, h = gz[:, 0], gz[: n - k, 1]
     s = _mod_matmul(code.stacked_inverse.entries, np.concatenate([g, h])[:, None], m)
     return RVector(code.ring, s[:, 0])
 

@@ -24,8 +24,8 @@ from lcdshare.codes import LinearCode
 from lcdshare.errors import (
     BadParameters,
     DimensionMismatch,
-    InternalSingular,
     InvalidShare,
+    LcdshareError,
     NotEnoughIndependentRows,
     NotEnoughIndependentShares,
     NotLcd,
@@ -34,6 +34,12 @@ from lcdshare.errors import (
 from lcdshare.linalg import RMatrix, RVector, _mod_matmul, stack_rows, vector
 from lcdshare.ring import RingSpec
 from lcdshare.scheme import Share
+
+
+class InternalSingular(LcdshareError):
+    """The stacked recovery system was singular; impossible for a valid
+    LCD code, so treated as evidence of corrupted inputs.  Raised only
+    here: the library no longer defines it."""
 
 
 def _rref(ring: RingSpec, a: np.ndarray, pivots_only: bool = False):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from lcdshare import make_ring, matrix, parity_check_from_generator, read_secret, write_code, write_secret, vector
 from lcdshare import Share, ShareFile, deal, random_lcd_code, read_code, read_shares, recover, verify_share, write_shares
+from lcdshare import errors
 from lcdshare.cli import REMEDIES, main
 from lcdshare.errors import BadParameters, LcdshareError
 
@@ -409,6 +410,31 @@ def test_recover_ids_validates_the_whole_file(tmp_path, capsys, fault):
         "--ids", "1,2,3,4,5",
     )
     assert (rc, out, err.splitlines()[0]) == (1, "", f"error: {message}")
+
+
+def test_recover_ids_refuses_a_picked_y_that_fits_no_secret(tmp_path, capsys):
+    """n=6, k=4: the 2k - n = 2 spare y coordinates expose a bad y."""
+    code_path, shares_path = _dealt_file(tmp_path, 3, 2, 12)
+    doc = json.loads(shares_path.read_text())
+    doc["shares"][0]["y"] = (doc["shares"][0]["y"] + 1) % 9
+    shares_path.write_text(json.dumps(doc))
+    rc, out, err = run(
+        capsys, "recover", "--code", str(code_path), "--shares", str(shares_path),
+        "--ids", "1,2,3,4,5",
+    )
+    assert (rc, out) == (1, "")
+    assert err == (
+        "error: InvalidShare: shares 1, 2, 3, 4: their y values fit no common secret\n"
+        "hint: a share is corrupted; re-issue it from the dealer\n"
+    )
+
+
+def test_every_hint_names_an_error_class():
+    """So a hint cannot outlive the error it was written for."""
+    assert {name for name in REMEDIES if name != "FileExists"} <= {
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, errors.LcdshareError)
+    }
 
 
 @pytest.fixture(scope="module")

@@ -25,6 +25,7 @@ from lcdshare import (
     recover,
     right_inverse,
     scheme,
+    select_independent_rows,
     stack_rows,
     vector,
     verify_share,
@@ -262,22 +263,36 @@ def test_recover_reports_shares_in_order(z256_code):
 
 
 def counted_recover(code, shares, monkeypatch):
-    """recover's secret and the number of row walks it made."""
+    """recover's outcome, as the secret or the exception it raised, and
+    the number of row walks it made."""
     walks, walk = [], scheme._pick_and_solve
     with monkeypatch.context() as patch:
         patch.setattr(scheme, "_pick_and_solve", lambda *a: walks.append(1) or walk(*a))
-        return recover(code, shares), len(walks)
+        try:
+            return recover(code, shares), len(walks)
+        except InvalidShare as exc:
+            return exc, len(walks)
 
 
-def test_recover_walks_once_unless_a_picked_y_is_tampered(z256_code, monkeypatch):
+def test_recover_walks_once_and_refuses_a_contradictory_picked_y(z256_code, monkeypatch):
     code = z256_code
     secret = vector(code.ring, range(3, 3 + code.n))
     shares, _ = deal(code, secret, count=14, seed=8)
     assert counted_recover(code, shares, monkeypatch) == (secret, 1)
     s = shares[0]  # picked, as its coefficient row is not all nilpotent
     tampered = [Share(s.id, s.c, s.x, (s.y + 1) % code.ring.m)] + shares[1:]
-    got, walks = counted_recover(code, tampered, monkeypatch)
-    assert walks == 2 and got == ref.recover(code, tampered) != secret
+    refusal, walks = counted_recover(code, tampered, monkeypatch)
+    words = stack_rows([share.c for share in shares])
+    picked = select_independent_rows(words @ code.G_plus, code.k)
+    assert 0 in picked
+    ids = ", ".join(str(shares[i].id) for i in picked)
+    assert walks == 1 and isinstance(refusal, InvalidShare)
+    assert str(refusal) == f"shares {ids}: their y values fit no common secret"
+    # the old answer fits the tampered share, whose y it solved for, and
+    # breaks another picked share instead
+    old = ref.recover(code, tampered)
+    assert verify_share(code, old, tampered[0])
+    assert old != secret and not all(verify_shares(code, old, tampered))
 
 
 def refusal_or_secret(recover, code, shares):

@@ -1,7 +1,9 @@
 """Dealing, recovery, and share verification."""
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 import reference_data as refdata
@@ -27,6 +29,7 @@ from lcdshare.errors import (
     BadParameters,
     DimensionMismatch,
     InvalidShare,
+    NotEnoughIndependentRows,
     NotEnoughIndependentShares,
     NotLcd,
 )
@@ -209,6 +212,57 @@ def test_recovery_rejects_foreign_shares(f2_84_dealt):
     alien = Share(id=9, c=vector(make_ring(3, 1), [0] * 8), x=0, y=0)
     with pytest.raises(DimensionMismatch):
         recover(code, [alien] + list(shares[:4]))
+
+
+def fitting_secrets(code, shares, picks):
+    """Every s in R^n, by enumeration, with c_i . s = x_i and
+    (c_i D) . s = y_i for each picked i; the dual word c_i D is
+    rebuilt here as l_i[:n-k] H from l_i = c_i G^+."""
+    m, n, k = code.ring.m, code.n, code.k
+    words = np.array([shares[i].c.entries for i in picks], dtype=np.int64)
+    duals = words @ code.G_plus.entries[:, : n - k] % m @ code.H.entries % m
+    rows = np.vstack([words, duals])
+    values = [shares[i].x % m for i in picks] + [shares[i].y % m for i in picks]
+    every = np.array(list(itertools.product(range(m), repeat=n)), dtype=np.int64)
+    return every[(every @ rows.T % m == values).all(axis=1)]
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2)])
+def test_recover_refuses_exactly_when_no_secret_fits_the_picks(p, e):
+    """Small LCD codes with 2k > n, 0-2 tampered x or y values: recover
+    refuses iff no secret fits its picks, else returns one that does."""
+    ring, rng = make_ring(p, e), random.Random(p * 10 + e)
+    outcomes = {"refused": 0, "recovered": 0}
+    for trial in range(500):
+        n = rng.randint(1, 5)
+        k = rng.randint(n // 2 + 1, n)
+        code = random_lcd_code(ring, n, k, seed=trial)
+        secret = vector(ring, [rng.randrange(ring.m) for _ in range(n)])
+        shares, _ = deal(code, secret, count=k + rng.randint(0, 2), seed=trial)
+        for _ in range(rng.randint(0, 2)):
+            i, bump = rng.randrange(len(shares)), rng.randrange(1, ring.m)
+            s = shares[i]
+            x, y = rng.choice([((s.x + bump) % ring.m, s.y), (s.x, (s.y + bump) % ring.m)])
+            shares[i] = Share(s.id, s.c, x, y)
+        words = stack_rows([share.c for share in shares])
+        try:
+            picks = select_independent_rows(words @ code.G_plus, k)
+        except NotEnoughIndependentRows:
+            with pytest.raises(NotEnoughIndependentShares):
+                recover(code, shares)
+            continue
+        fitting = fitting_secrets(code, shares, picks)
+        if len(fitting) == 0:
+            ids = ", ".join(str(shares[i].id) for i in picks)
+            message = f"^shares {ids}: their y values fit no common secret$"
+            with pytest.raises(InvalidShare, match=message):
+                recover(code, shares)
+            outcomes["refused"] += 1
+        else:
+            got = recover(code, shares)
+            assert any(np.array_equal(got.entries, s) for s in fitting)
+            outcomes["recovered"] += 1
+    assert min(outcomes.values()) > 0
 
 
 def test_recovered_coefficients_match_dealer_records():

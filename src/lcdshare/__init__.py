@@ -6,7 +6,7 @@ The public surface, bottom up:
   linalg      exact vectors/matrices, unit-pivot elimination, solving
   codes       free codes, parity checks, the LCD property, generation
   scheme      dealing shares and recovering secrets
-  analysis    exact security and efficiency figures
+  analysis    the paper's counting figures, exact rationals that overstate security
   io_formats  canonical document files for every object
   cli         the `lcdshare` command
 """

@@ -10,6 +10,8 @@ timestamps or other hidden entropy.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -98,6 +100,13 @@ def _load_secret(spec: str, code, allow_inline: bool) -> RVector:
     return vector(code.ring, values)
 
 
+def _refuse_existing(overwrite: bool, *targets: Optional[str]) -> None:
+    """Refuse an existing output file, as its writer would, before any work."""
+    for target in targets:
+        if target and not overwrite and Path(target).exists():
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), target)
+
+
 def _format_vector(v: RVector) -> str:
     return ",".join(str(x) for x in v)
 
@@ -106,6 +115,7 @@ def _format_vector(v: RVector) -> str:
 
 
 def _cmd_gen_code(args) -> int:
+    _refuse_existing(args.overwrite, args.out)
     ring = parse_ring_label(args.ring)
     code = random_lcd_code(ring, args.n, args.k, args.seed)
     write_code(args.out, code, overwrite=args.overwrite)
@@ -127,14 +137,22 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_deal(args) -> int:
+    if args.deal_record and Path(args.deal_record).resolve() == Path(args.out).resolve():
+        raise _Usage("--out and --deal-record name the same file")
+    _refuse_existing(args.overwrite, args.out, args.deal_record)
     code = read_code(args.code)
     secret = _load_secret(args.secret, code, args.allow_inline_secret)
     shares, record = deal(code, secret, args.count, args.seed)
     share_file = ShareFile(ring=code.ring, n=code.n, shares=tuple(shares))
     write_shares(args.out, share_file, overwrite=args.overwrite)
+    if args.deal_record:
+        try:
+            write_deal_record(args.deal_record, record, overwrite=args.overwrite)
+        except OSError:  # write both files or neither
+            os.remove(args.out)
+            raise
     print(f"wrote {len(shares)} shares to {args.out}")
     if args.deal_record:
-        write_deal_record(args.deal_record, record, overwrite=args.overwrite)
         print(f"wrote deal record to {args.deal_record}")
     return 0
 
@@ -149,6 +167,7 @@ def _read_code_and_columns(args):
 
 
 def _cmd_recover(args) -> int:
+    _refuse_existing(args.overwrite, args.out)
     code, (ids, *columns) = _read_code_and_columns(args)
     rows = range(len(ids))
     if args.ids is not None:

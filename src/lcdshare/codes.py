@@ -37,7 +37,7 @@ from .errors import (
     TooLargeToEnumerate,
     ValidationError,
 )
-from .linalg import RMatrix, RVector, _pick_and_solve, is_full_row_rank, right_inverse
+from .linalg import RMatrix, RVector, _mod_matmul, _pick_and_solve, is_full_row_rank, right_inverse
 from .ring import RingSpec
 from .rng import SplitMix64
 
@@ -185,12 +185,8 @@ def is_lcd(code: LinearCode) -> bool:
 
 def _all_vectors(ring: RingSpec, length: int) -> np.ndarray:
     """All of R^length as an (m**length, length) array, lexicographic."""
-    total = ring.m**length
-    idx = np.arange(total, dtype=np.int64)
-    cols = [(idx // ring.m ** (length - 1 - j)) % ring.m for j in range(length)]
-    if not cols:
-        return np.zeros((1, 0), dtype=np.int64)
-    return np.stack(cols, axis=1)
+    idx = np.arange(ring.m**length, dtype=np.int64)[:, None]
+    return idx // ring.m ** np.arange(length - 1, -1, -1) % ring.m
 
 
 def _row_set(arr: np.ndarray) -> np.ndarray:
@@ -211,8 +207,6 @@ def is_lcd_oracle(code: LinearCode, limit: int = ENUMERATION_LIMIT) -> bool:
         raise TooLargeToEnumerate(
             f"enumerating {m}^{code.k} + {m}^{code.n - code.k} words exceeds {limit}"
         )
-    from .linalg import _mod_matmul  # local import keeps module surface tidy
-
     codewords = _mod_matmul(_all_vectors(code.ring, code.k), code.G.entries, m)
     duals = _mod_matmul(_all_vectors(code.ring, code.n - code.k), code.H.entries, m)
     common = np.intersect1d(_row_set(codewords), _row_set(duals))

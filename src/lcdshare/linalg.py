@@ -13,10 +13,12 @@ and its failure is equivalent to the existence of a nonzero left null
 vector; both directions are constructive here.
 
 Vectors and matrices are immutable wrappers around int64 numpy arrays
-in canonical residue form, with one `@` that shapes its result as
-numpy does.  Products are reduced in chunks sized so that no
-intermediate ever exceeds the int64 range, which keeps every operation
-exact for any modulus up to 2**31 - 1.
+in canonical residue form.  Every product, on ring arrays and raw
+blocks alike, goes through one kernel, _mod_matmul, which takes 1-D
+and 2-D operands and shapes its result as numpy's `@` does: a vector
+is a row on the left and a column on the right.  It reduces in chunks
+sized so that no intermediate ever exceeds the int64 range, which
+keeps every operation exact for any modulus up to 2**31 - 1.
 
 All elimination is one routine, _pick_and_solve, with a fixed pivot
 policy for reproducibility: walk the rows in order, take each row that
@@ -46,29 +48,21 @@ from .ring import RingSpec
 _INT64_MAX = 2**63 - 1
 
 
-def _canon(ring: RingSpec, arr: np.ndarray) -> np.ndarray:
-    out = np.asarray(arr, dtype=np.int64) % ring.m
-    out.setflags(write=False)
-    return out
-
-
 def _mod_matmul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """Exact (a @ b) % m for int64 arrays with entries in [0, m).
+    """Exact (a @ b) % m for 1-D or 2-D int64 arrays with entries in
+    [0, m), m >= 2, shaped as a @ b is (a 0-D result for two vectors).
 
     A single int64 dot product can overflow once the inner dimension
     exceeds (2**63 - m) / (m-1)**2, so the accumulation is chunked to
     stay below that bound.  For small moduli the chunk covers the whole
     inner dimension and this is one plain matmul.
     """
-    inner = a.shape[-1]
-    per_product = max(1, (m - 1) * (m - 1))
-    chunk = max(1, (_INT64_MAX - m) // per_product)
-    if inner <= chunk:
+    chunk = (_INT64_MAX - m) // ((m - 1) * (m - 1))
+    if a.shape[-1] <= chunk:
         return (a @ b) % m
-    acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for start in range(0, inner, chunk):
-        stop = start + chunk
-        acc = (acc + a[:, start:stop] @ b[start:stop, :]) % m
+    acc = 0
+    for start in range(0, a.shape[-1], chunk):
+        acc = (acc + a[..., start : start + chunk] @ b[start : start + chunk]) % m
     return acc
 
 
@@ -81,11 +75,12 @@ class _RArray:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = _canon(self.ring, self.entries)
+        arr = np.asarray(self.entries, dtype=np.int64) % self.ring.m
         if arr.ndim != self._NDIM:
             raise DimensionMismatch(
                 f"{self._KIND} must be {self._NDIM}-D, got shape {arr.shape}"
             )
+        arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
     def __eq__(self, other) -> bool:
@@ -142,13 +137,10 @@ class _RArray:
         a, b = self.entries, other.entries
         if a.shape[-1] != b.shape[0]:
             raise DimensionMismatch(f"shapes {a.shape} @ {b.shape}")
-        shape = a.shape[:-1] + b.shape[1:]
-        rows = a[None, :] if a.ndim == 1 else a
-        cols = b[:, None] if b.ndim == 1 else b
-        prod = _mod_matmul(rows, cols, self.ring.m).reshape(shape)
-        if not shape:
+        prod = _mod_matmul(a, b, self.ring.m)
+        if not prod.ndim:
             return int(prod)
-        return (RVector if len(shape) == 1 else RMatrix)(self.ring, prod)
+        return (RVector if prod.ndim == 1 else RMatrix)(self.ring, prod)
 
 
 class RVector(_RArray):
@@ -195,8 +187,7 @@ class RMatrix(_RArray):
         return RVector(self.ring, self.entries[i])
 
     def take_rows(self, indices: Sequence[int]) -> "RMatrix":
-        picked = self.entries[list(indices), :] if len(self.entries) else self.entries
-        return RMatrix(self.ring, picked.reshape(len(indices), self.cols))
+        return RMatrix(self.ring, self.entries[list(indices)])
 
     def take_cols(self, indices: Sequence[int]) -> "RMatrix":
         return RMatrix(self.ring, self.entries[:, list(indices)])
@@ -230,19 +221,12 @@ def stack_rows(parts: Sequence[Union[RVector, RMatrix]]) -> RMatrix:
     """Stack vectors (as rows) and matrices vertically."""
     if not parts:
         raise BadParameters("nothing to stack")
-    ring = parts[0].ring
-    blocks = []
-    width = None
-    for part in parts:
-        if part.ring != ring:
-            raise DimensionMismatch("mixed rings in stack")
-        block = part.entries[None, :] if isinstance(part, RVector) else part.entries
-        if width is None:
-            width = block.shape[1]
-        elif block.shape[1] != width:
-            raise DimensionMismatch("mixed widths in stack")
-        blocks.append(block)
-    return RMatrix(ring, np.vstack(blocks))
+    if len({part.ring for part in parts}) > 1:
+        raise DimensionMismatch("mixed rings in stack")
+    blocks = [np.atleast_2d(part.entries) for part in parts]
+    if len({block.shape[1] for block in blocks}) > 1:
+        raise DimensionMismatch("mixed widths in stack")
+    return RMatrix(parts[0].ring, np.vstack(blocks))
 
 
 def _pick_and_solve(ring: RingSpec, a: np.ndarray, b: np.ndarray, count: int):
@@ -275,7 +259,7 @@ def _pick_and_solve(ring: RingSpec, a: np.ndarray, b: np.ndarray, count: int):
         if r == count:
             break
         if r:
-            row = (row - _mod_matmul(row[None, pivots[:r]], basis[:r], m)[0]) % m
+            row = (row - _mod_matmul(row[pivots[:r]], basis[:r], m)) % m
         units = row[:cols] % p != 0
         if not units.any():
             if skipped is None:
@@ -296,8 +280,7 @@ def _pick_and_solve(ring: RingSpec, a: np.ndarray, b: np.ndarray, count: int):
 def unit_rank(mat: RMatrix) -> int:
     """Number of unit pivots; the size of the largest invertible
     square submatrix."""
-    empty = np.zeros((mat.rows, 0), dtype=np.int64)
-    picks, _, _ = _pick_and_solve(mat.ring, mat.entries, empty, min(mat.shape))
+    picks, _, _ = _pick_and_solve(mat.ring, mat.entries, mat.entries[:, :0], min(mat.shape))
     return len(picks)
 
 
@@ -346,8 +329,7 @@ def select_independent_rows(mat: RMatrix, count: int) -> list[int]:
     taken iff it raises the unit rank of the rows above it."""
     if count < 0 or count > mat.rows:
         raise BadParameters(f"cannot select {count} rows from {mat.rows}")
-    empty = np.zeros((mat.rows, 0), dtype=np.int64)
-    picks, _, _ = _pick_and_solve(mat.ring, mat.entries, empty, count)
+    picks, _, _ = _pick_and_solve(mat.ring, mat.entries, mat.entries[:, :0], count)
     if len(picks) < count:
         raise NotEnoughIndependentRows(
             f"only {len(picks)} independent rows found, needed {count}"

@@ -99,8 +99,8 @@ def _check_scheme_inputs(code: LinearCode, secret: RVector) -> None:
 def _xy(code: LinearCode, secret: RVector, words: np.ndarray) -> np.ndarray:
     """words [s | D s] for an (N, n) int64 block of codewords: each
     word's x = c . s and y = c . (D s), with D s computed once."""
-    m, s = code.ring.m, secret.entries[:, None]
-    return _mod_matmul(words, np.hstack([s, _mod_matmul(code.dual_map.entries, s, m)]), m)
+    m, s = code.ring.m, secret.entries
+    return _mod_matmul(words, np.column_stack([s, _mod_matmul(code.dual_map.entries, s, m)]), m)
 
 
 def _deal_rows(
@@ -121,6 +121,8 @@ def deal_one(
 ) -> Share:
     """Produce a single share from an explicit coefficient row."""
     _check_scheme_inputs(code, secret)
+    if share_id < 1:
+        raise BadParameters(f"share id must be >= 1, got {share_id}")
     return _deal_rows(code, secret, stack_rows([coefficients]), share_id)[0]
 
 
@@ -135,11 +137,13 @@ def deal(
 
     Coefficient rows are drawn uniformly from the seeded generator
     unless an explicit list overrides them (the override still records
-    the seed it was called with).
+    the seed it was called with), which must be >= 0.
     """
     _check_scheme_inputs(code, secret)
     if count < 1:
         raise BadParameters(f"count must be >= 1, got {count}")
+    if seed < 0:
+        raise BadParameters(f"seed must be >= 0, got {seed}")
     if coefficients is not None:
         if len(coefficients) != count:
             raise BadParameters(
@@ -197,9 +201,8 @@ def recover(code: LinearCode, shares: Sequence[Share]) -> RVector:
     if gz[n - k :, 1].any():
         ids = ", ".join(str(shares[i].id) for i in picked)
         raise InvalidShare(f"shares {ids}: their y values fit no common secret")
-    g, h = gz[:, 0], gz[: n - k, 1]
-    s = _mod_matmul(code.stacked_inverse.entries, np.concatenate([g, h])[:, None], m)
-    return RVector(code.ring, s[:, 0])
+    gh = np.concatenate([gz[:, 0], gz[: n - k, 1]])
+    return RVector(code.ring, _mod_matmul(code.stacked_inverse.entries, gh, m))
 
 
 def verify_share(code: LinearCode, secret: RVector, share: Share) -> bool:
@@ -215,10 +218,10 @@ def verify_share(code: LinearCode, secret: RVector, share: Share) -> bool:
     c, m, r = share.c, code.ring.m, code.n - code.k
     if c.ring != code.ring or len(c) != code.n:
         return False
-    sides = _mod_matmul(c.entries[None, :], code.audit_block, m)[0]
+    sides = _mod_matmul(c.entries, code.audit_block, m)
     if np.count_nonzero(sides[:r]):
         return False
-    x, y = _mod_matmul(np.array((c.entries, sides[r:])), secret.entries[:, None], m)[:, 0]
+    x, y = _mod_matmul(np.array((c.entries, sides[r:])), secret.entries, m)
     return int(x) == share.x % m and int(y) == share.y % m
 
 

@@ -232,8 +232,73 @@ def test_overwrite_refusal_and_consent(tmp_path, capsys):
     assert main(args) == 0
     code, out, err = run(capsys, *args)
     assert code == 1 and "error: FileExists" in err and "--overwrite" in err
+    # refused before any work: a ring that cannot be built is not reached
+    code, out, err = run(capsys, *[a if a != "2^1" else "4^1" for a in args])
+    assert code == 1 and "error: FileExists" in err
     assert main(args + ["--overwrite"]) == 0
     capsys.readouterr()
+
+
+def _deal_args(data_dir, out, *extra):
+    return ["deal", "--code", str(data_dir / "f2_8_5.code"),
+            "--secret", str(data_dir / "f2_8_5.secret"), "--count", "5",
+            "--seed", "1", "--out", str(out), *extra]
+
+
+def test_deal_refuses_one_file_for_shares_and_record(tmp_path, capsys, data_dir):
+    target = tmp_path / "both"
+    for extra in ((), ("--overwrite",)):
+        code, out, err = run(capsys, *_deal_args(data_dir, target, "--deal-record",
+                                                 str(tmp_path / "." / "both"), *extra))
+        assert (code, out) == (2, "")
+        assert err == "usage error: --out and --deal-record name the same file\n"
+        assert not target.exists()
+
+
+def test_deal_refuses_an_existing_record_before_dealing(tmp_path, capsys, data_dir):
+    shares, record = tmp_path / "x.shares", tmp_path / "x.dealrec"
+    record.write_text("keep")
+    code, out, err = run(capsys, *_deal_args(data_dir, shares, "--deal-record", str(record)))
+    assert (code, out) == (1, "")
+    assert err == (f"error: FileExists: [Errno 17] File exists: {str(record)!r}\n"
+                   f"hint: {REMEDIES['FileExists']}\n")
+    assert not shares.exists() and record.read_text() == "keep"
+    # a rerun with consent writes both
+    code, out, err = run(capsys, *_deal_args(data_dir, shares, "--deal-record", str(record),
+                                             "--overwrite"))
+    assert code == 0 and read_shares(shares) and record.read_text() != "keep"
+
+
+def test_deal_leaves_no_shares_when_the_record_cannot_be_written(tmp_path, capsys, data_dir):
+    shares = tmp_path / "x.shares"
+    record = tmp_path / "no-such-dir" / "x.dealrec"
+    code, out, err = run(capsys, *_deal_args(data_dir, shares, "--deal-record", str(record)))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: FileNotFoundError: ")
+    assert not shares.exists()
+
+
+def test_deal_refuses_a_negative_seed(tmp_path, capsys, data_dir):
+    shares, record = tmp_path / "x.shares", tmp_path / "x.dealrec"
+    args = _deal_args(data_dir, shares, "--deal-record", str(record))
+    args[args.index("--seed") + 1] = "-7"
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: BadParameters: seed must be >= 0, got -7\n")
+    assert not shares.exists() and not record.exists()
+
+
+def test_recover_refuses_an_existing_out_before_recovering(tmp_path, capsys, data_dir):
+    target = tmp_path / "taken.secret"
+    target.write_text("keep")
+    code, out, err = run(
+        capsys, "recover", "--code", str(data_dir / "f2_8_4.code"),
+        "--shares", str(data_dir / "f2_8_4.shares"), "--out", str(target),
+    )
+    assert (code, out) == (1, "")
+    assert err == (f"error: FileExists: [Errno 17] File exists: {str(target)!r}\n"
+                   f"hint: {REMEDIES['FileExists']}\n")
+    assert target.read_text() == "keep"
 
 
 def test_verify_reports_failures(tmp_path, capsys, data_dir):
@@ -300,6 +365,25 @@ def test_usage_errors_exit_2(tmp_path, capsys, data_dir):
         )
         assert (code, out) == (2, "")
         assert err == f"usage error: --ids must be comma-separated integers, got {blank!r}\n"
+
+
+def test_secret_that_is_neither_a_file_nor_a_vector(tmp_path, capsys, data_dir):
+    code, out, err = run(
+        capsys, "deal", "--code", str(data_dir / "f2_8_5.code"),
+        "--secret", "nosuchfile", "--count", "5", "--seed", "1",
+        "--out", str(tmp_path / "x.shares"),
+    )
+    assert (code, out) == (2, "")
+    assert "neither an existing file nor an inline comma-separated vector" in err
+    assert not (tmp_path / "x.shares").exists()
+
+
+def test_missing_input_file_is_an_os_error_without_a_hint(tmp_path, capsys):
+    missing = tmp_path / "missing.code"
+    code, out, err = run(capsys, "check", "--code", str(missing))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: FileNotFoundError: ") and str(missing) in err
+    assert "hint:" not in err and err.count("\n") == 1
 
 
 def test_inline_secret_validation(tmp_path, capsys, data_dir):

@@ -61,6 +61,12 @@ def test_validation_rejects_bad_dimensions(z4_instance):
         LinearCode(ring=make_ring(3, 1), n=8, k=4, G=good.G, H=good.H)
 
 
+def test_validation_names_the_shape_of_a_wrong_h(z4_code):
+    short = z4_code.H.take_rows(range(3))
+    with pytest.raises(ValidationError, match=r"^H has shape \(3, 8\), expected \(4, 8\)$"):
+        LinearCode(ring=z4_code.ring, n=8, k=4, G=z4_code.G, H=short)
+
+
 def test_validation_rejects_rank_deficiency():
     r4 = make_ring(2, 2)
     # G's second row is twice the first: unit rank 1, not a free code
@@ -229,6 +235,7 @@ def test_known_non_lcd_code():
     code = parity_check_from_generator(matrix(f2, [[1, 1]]))
     assert not is_lcd(code)
     assert not is_lcd_oracle(code)
+    assert code.gram_inverse is None and code.stacked_inverse is None
 
 
 def test_full_dimension_code_is_lcd():

@@ -177,10 +177,26 @@ def test_shape_and_ring_mismatches():
         matrix(r4, [[1, 2]]) @ matrix(r4, [[1, 2]])
     with pytest.raises(DimensionMismatch):
         matrix(r4, [[1, 2], [1]])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="^mixed widths in stack$"):
         stack_rows([matrix(r4, [[1, 2]]), matrix(r4, [[1, 2, 3]])])
-    with pytest.raises(BadParameters):
+    with pytest.raises(DimensionMismatch, match="^mixed widths in stack$"):
+        stack_rows([vector(r4, [1, 2]), vector(r4, [1])])
+    with pytest.raises(DimensionMismatch, match="^mixed rings in stack$"):
+        stack_rows([vector(r4, [1, 2]), matrix(r9, [[1, 2]])])
+    with pytest.raises(DimensionMismatch, match="^mixed rings in stack$"):  # rings first
+        stack_rows([vector(r4, [1, 2]), vector(r4, [1]), vector(r9, [1, 2])])
+    with pytest.raises(BadParameters, match="^nothing to stack$"):
         stack_rows([])
+    with pytest.raises(DimensionMismatch, match=r"^vector must be 1-D, got shape \(1, 2\)$"):
+        RVector(r4, np.array([[1, 2]]))
+
+
+def test_empty_matrices_keep_their_row_count():
+    ring = make_ring(2, 2)
+    assert matrix(ring, []).shape == (0, 0)
+    assert matrix(ring, [[], []]).shape == (2, 0)
+    assert stack_rows([matrix(ring, [[], []]), vector(ring, [])]).shape == (3, 0)
+    assert matrix(ring, [[1, 2], [3, 0]]).take_rows([]).shape == (0, 2)
 
 
 def test_products_with_huge_modulus_stay_exact():
@@ -275,7 +291,7 @@ def test_matmul_follows_numpy_shapes(data):
     ring = data.draw(st.sampled_from(RINGS + [make_ring(2**31 - 1, 1)]))
     left_vector, right_vector = data.draw(st.booleans()), data.draw(st.booleans())
     rows = 1 if left_vector else data.draw(st.integers(0, 4))
-    inner = data.draw(st.integers(0, 4))
+    inner = data.draw(st.integers(0, 5))
     cols = 1 if right_vector else data.draw(st.integers(0, 4))
     elem = st.integers(0, ring.m - 1)
     a = [[data.draw(elem) for _ in range(inner)] for _ in range(rows)]
@@ -298,6 +314,27 @@ def test_matmul_follows_numpy_shapes(data):
         assert type(got) is RVector and got.tolist() == [row[0] for row in want]
     else:
         assert type(got) is RMatrix and got.shape == (rows, cols) and got.tolist() == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_kernel_matches_the_exact_product_in_every_shape(data):
+    """_mod_matmul on every pairing of 1-D and 2-D operands equals the
+    object-dtype product mod m, shape included.  At m = 2^31 - 1 the
+    chunk is 2 terms, so inner 3 and 5 take the chunked branch."""
+    m = data.draw(st.sampled_from([2, 4, 65521, 2**31 - 1]))
+    inner = data.draw(st.sampled_from([0, 1, 2, 3, 5]))
+    a_shape = data.draw(st.sampled_from([(inner,), (data.draw(st.integers(0, 3)), inner)]))
+    b_shape = data.draw(st.sampled_from([(inner,), (inner, data.draw(st.integers(0, 3)))]))
+    elem = st.integers(0, m - 1) | st.just(m - 1)
+    draw = lambda shape: np.array(
+        [data.draw(elem) for _ in range(int(np.prod(shape)))], dtype=np.int64
+    ).reshape(shape)
+    a, b = draw(a_shape), draw(b_shape)
+    want = (a.astype(object) @ b.astype(object)) % m
+    got = linalg._mod_matmul(a, b, m)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tolist() == np.asarray(want).tolist()
 
 
 def test_matmul_mismatch_names_both_shapes():

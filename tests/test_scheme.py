@@ -101,6 +101,19 @@ def test_deal_parameter_errors(z4_code):
         deal(z4_code, vector(make_ring(3, 1), [0] * 8), count=3, seed=1)
 
 
+def test_deal_refuses_what_the_readers_refuse(z4_code):
+    """A negative seed, which SplitMix64 would mask into a valid draw,
+    and a share id of 0 are refused, as read_deal_record and read_shares
+    refuse them."""
+    secret = build_secret(refdata.Z4_84)
+    with pytest.raises(BadParameters, match="^seed must be >= 0, got -3$"):
+        deal(z4_code, secret, count=3, seed=-3)
+    row = vector(z4_code.ring, [1, 0, 0, 0])
+    with pytest.raises(BadParameters, match="^share id must be >= 1, got 0$"):
+        deal_one(z4_code, secret, row, share_id=0)
+    assert deal(z4_code, secret, count=1, seed=0)[1].seed == 0
+
+
 def test_deal_requires_threshold_geometry():
     # k too small relative to n: truncation would cut below n - k rows
     f2 = make_ring(2, 1)

@@ -6,7 +6,6 @@ through that, what "rank" means here.
 """
 
 from lcdshare import (
-    ElementKind,
     RMatrix,
     left_null_vector,
     make_ring,
@@ -23,8 +22,7 @@ print(f"working in {ring} (label {ring.label}, modulus {ring.m})")
 
 print("\nelement classification:")
 for a in range(ring.m):
-    kind = ring.classify(a)
-    if kind is ElementKind.UNIT:
+    if ring.is_unit(a):
         print(f"  {a}: unit, inverse {ring.inverse(a)}")
     else:
         print(f"  {a}: nilpotent ({a}^{ring.e} = {pow(a, ring.e, ring.m)} mod {ring.m})")

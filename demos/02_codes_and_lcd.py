@@ -10,7 +10,6 @@ from lcdshare import (
     encode,
     is_codeword,
     is_lcd,
-    is_lcd_oracle,
     make_ring,
     matrix,
     parity_check_from_generator,
@@ -39,7 +38,6 @@ print("\nLCD check = the stacked (G over H) matrix is invertible:")
 stacked = stack_rows([code.G, code.H])
 print(f"  unit rank of the {stacked.shape} stack: {unit_rank(stacked)} (n = {code.n})")
 print(f"  is_lcd: {is_lcd(code)}")
-print(f"  brute-force cross-check over all words: {is_lcd_oracle(code)}")
 
 print("\na classic non-LCD code (the binary repetition code):")
 f2 = make_ring(2, 1)

@@ -2,7 +2,7 @@
 
 The public surface, bottom up:
 
-  ring        Z_{p^e} construction, unit/nilpotent classification
+  ring        Z_{p^e} construction, the unit/nilpotent test
   linalg      exact vectors/matrices, unit-pivot elimination, solving
   codes       free codes, parity checks, the LCD property, generation
   scheme      dealing shares and recovering secrets
@@ -28,7 +28,6 @@ from .codes import (
     encode,
     is_codeword,
     is_lcd,
-    is_lcd_oracle,
     parity_check_from_generator,
     random_code,
     random_lcd_code,
@@ -58,7 +57,7 @@ from .linalg import (
     unit_rank,
     vector,
 )
-from .ring import ElementKind, RingSpec, is_prime, make_ring, parse_ring_label
+from .ring import RingSpec, is_prime, make_ring, parse_ring_label
 from .rng import SplitMix64
 from .scheme import DealRecord, Share, deal, deal_one, recover, verify_share, verify_shares
 
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DealRecord",
-    "ElementKind",
     "LcdshareError",
     "LinearCode",
     "RMatrix",
@@ -87,7 +85,6 @@ __all__ = [
     "is_codeword",
     "is_full_row_rank",
     "is_lcd",
-    "is_lcd_oracle",
     "is_prime",
     "left_null_vector",
     "make_ring",

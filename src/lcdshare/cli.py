@@ -37,13 +37,7 @@ from .scheme import _audit, deal, recover
 REMEDIES = {
     "NotPrime": "the ring must be Z_p^e with p prime; pick a prime p",
     "Overflow": "keep p^e at or below 2^31 - 1",
-    "NotAUnit": "only residues not divisible by p are invertible",
     "BadParameters": "adjust the parameters as described above",
-    "DimensionMismatch": "make the ring and the vector/matrix shapes agree",
-    "NotFullRowRank": "supply a matrix with independent rows",
-    "Singular": "the system has no unique solution; check the inputs",
-    "NotEnoughIndependentRows": "provide more independent rows",
-    "TooLargeToEnumerate": "use is_lcd instead of the brute-force oracle",
     "GenerationFailed": "try a different seed or different (n, k)",
     "NotLcd": "generate a code with gen-code, which only emits LCD codes",
     "NotEnoughIndependentShares": "supply at least k shares with independent codewords",

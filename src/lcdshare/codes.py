@@ -17,9 +17,7 @@ G^+ part; H^T is injective as H has full row rank), hence invertible
 over the finite ring Z_{p^e}.  The row walk that inverts H H^T
 (linalg._pick_and_solve with B = I) yields both the verdict and the
 cached Q = (H H^T)^{-1}, from which recovery's M^{-1} is built.  For
-k = n, H H^T is 0 x 0 and the code is LCD.  is_lcd_oracle instead
-enumerates both codes and intersects them, so the two must agree and
-can cross-check each other.
+k = n, H H^T is 0 x 0 and the code is LCD.
 """
 
 from __future__ import annotations
@@ -34,14 +32,12 @@ from .errors import (
     DimensionMismatch,
     GenerationFailed,
     NotFullRowRank,
-    TooLargeToEnumerate,
     ValidationError,
 )
-from .linalg import RMatrix, RVector, _mod_matmul, _pick_and_solve, is_full_row_rank, right_inverse
+from .linalg import RMatrix, RVector, _pick_and_solve, is_full_row_rank, right_inverse
 from .ring import RingSpec
 from .rng import SplitMix64
 
-ENUMERATION_LIMIT = 2**20
 DEFAULT_MAX_TRIES = 10_000
 
 
@@ -183,37 +179,6 @@ def is_lcd(code: LinearCode) -> bool:
     return code.gram_inverse is not None
 
 
-def _all_vectors(ring: RingSpec, length: int) -> np.ndarray:
-    """All of R^length as an (m**length, length) array, lexicographic."""
-    idx = np.arange(ring.m**length, dtype=np.int64)[:, None]
-    return idx // ring.m ** np.arange(length - 1, -1, -1) % ring.m
-
-
-def _row_set(arr: np.ndarray) -> np.ndarray:
-    """View rows as opaque fixed-size records for set operations."""
-    a = np.ascontiguousarray(arr)
-    return a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
-
-
-def is_lcd_oracle(code: LinearCode, limit: int = ENUMERATION_LIMIT) -> bool:
-    """Brute-force LCD test: enumerate the code and its dual in full
-    and check the intersection is exactly {0}.
-
-    Exists as an independent cross-check for is_lcd; refuses to run
-    when either enumeration would exceed `limit` words.
-    """
-    m = code.ring.m
-    if m**code.k > limit or m ** (code.n - code.k) > limit:
-        raise TooLargeToEnumerate(
-            f"enumerating {m}^{code.k} + {m}^{code.n - code.k} words exceeds {limit}"
-        )
-    codewords = _mod_matmul(_all_vectors(code.ring, code.k), code.G.entries, m)
-    duals = _mod_matmul(_all_vectors(code.ring, code.n - code.k), code.H.entries, m)
-    common = np.intersect1d(_row_set(codewords), _row_set(duals))
-    # the zero word always lies in both, so LCD means nothing else does
-    return common.size == 1
-
-
 def dual(code: LinearCode) -> LinearCode:
     """The dual code, generated by H and checked by G."""
     if code.k == code.n:
@@ -230,7 +195,8 @@ def _random_matrix(rng: SplitMix64, ring: RingSpec, rows: int, cols: int) -> RMa
 
 def _draw_code(ring, n, k, seed, max_tries, accept, wanted) -> LinearCode:
     """Draw uniform k x n generators until one has full row rank and
-    its code passes `accept`; every draw counts against max_tries."""
+    its code passes `accept`; every draw counts against max_tries.
+    SplitMix64 refuses a seed outside [0, 2^64)."""
     if not 1 <= k <= n:
         raise BadParameters(f"need 1 <= k <= n, got k={k}, n={n}")
     rng = SplitMix64(seed)

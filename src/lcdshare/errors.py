@@ -41,10 +41,6 @@ class NotEnoughIndependentRows(LcdshareError):
     """Greedy row selection ran out of rows before reaching the count."""
 
 
-class TooLargeToEnumerate(LcdshareError):
-    """A brute-force enumeration would exceed the safety bound."""
-
-
 class GenerationFailed(LcdshareError):
     """Rejection sampling exhausted its draw budget."""
 

@@ -36,9 +36,10 @@ from typing import Sequence, Union
 import numpy as np
 
 from .codes import LinearCode
-from .errors import LcdshareError, ParseError, ValidationError
+from .errors import BadParameters, LcdshareError, ParseError, ValidationError
 from .linalg import RMatrix, RVector
 from .ring import RingSpec, make_ring
+from .rng import SplitMix64
 from .scheme import DealRecord, Share
 
 FORMAT_VERSION = 1
@@ -214,8 +215,8 @@ def _int_rows(rows: list, row: str) -> None:
 
 def _residue_block(rows: list, width: int, m: int, row: str, length: str = _LENGTH):
     """The one validator of residue rows: each an array of `width`
-    integers in 0..m-1.  Returns them as one int64 array, of shape
-    (len(rows), width) unless rows is empty.
+    integers in 0..m-1.  Returns them as one int64 array of shape
+    (len(rows), width), also when rows is empty.
 
     Each check is one pass over the whole block: a set of entry types,
     a set of row lengths, one array and its min and max.  Only a block
@@ -227,7 +228,7 @@ def _residue_block(rows: list, width: int, m: int, row: str, length: str = _LENG
     _int_rows(rows, row)
     if set(map(len, rows)) <= {width}:
         try:
-            block = np.array(rows, dtype=np.int64)
+            block = np.array(rows, dtype=np.int64).reshape(len(rows), width)
             if not block.size or (block.min() >= 0 and block.max() < m):
                 return block
         except OverflowError:
@@ -280,8 +281,8 @@ def read_code(source: Target) -> LinearCode:
         raise ValidationError(f"G has {len(g_rows)} rows, expected k={k}")
     if len(h_rows) != n - k:
         raise ValidationError(f"H has {len(h_rows)} rows, expected n-k={n - k}")
-    G = _residue_block(g_rows, n, ring.m, "G[{i}]").reshape(k, n)
-    H = _residue_block(h_rows, n, ring.m, "H[{i}]").reshape(n - k, n)
+    G = _residue_block(g_rows, n, ring.m, "G[{i}]")
+    H = _residue_block(h_rows, n, ring.m, "H[{i}]")
     return LinearCode(ring=ring, n=n, k=k, G=RMatrix(ring, G), H=RMatrix(ring, H))
 
 
@@ -303,7 +304,7 @@ def _share_columns(source: Target):
     words = _residue_block(
         [obj["c"] for obj in entries], n, ring.m, "shares[{i}].c",
         "shares[{i}]: c has length {got}, expected n={width}",
-    ).reshape(len(entries), n)
+    )
     xs, ys = [obj["x"] for obj in entries], [obj["y"] for obj in entries]
     xy = xs + ys
     if not (
@@ -346,8 +347,10 @@ def read_deal_record(source: Target) -> DealRecord:
         raise ValidationError(f"dimension k={k} outside 1..n={n}")
     deal_obj = _object(document["deal"], ("seed", "l"), "deal")
     seed = _expect(deal_obj["seed"], int, "deal.seed")
-    if seed < 0:
-        raise ValidationError(f"deal.seed must be >= 0, got {seed}")
+    try:  # the seed range is the generator's, so this refuses what deal refuses
+        SplitMix64(seed)
+    except BadParameters as exc:
+        raise ValidationError(f"deal.{exc}") from None
     entries = _expect(deal_obj["l"], list, "deal.l")
     ids = _records(entries, "deal.l", ("id", "l"), "{where}: participant id must be >= 1")
     rows = _residue_block(

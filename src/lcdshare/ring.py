@@ -1,10 +1,10 @@
 """The coefficient rings Z_{p^e}: integers modulo a prime power.
 
 These rings are finite chain rings, so every element is either a unit
-(not divisible by p) or nilpotent (divisible by p).  That dichotomy is
-what the rest of the package leans on: Gaussian elimination only ever
-needs to decide "can this entry be a pivot", and the answer is exactly
-"is it a unit".
+(not divisible by p) or nilpotent (divisible by p), and
+RingSpec.is_unit decides which.  That dichotomy is what the rest of the
+package leans on: Gaussian elimination only ever needs to decide "can
+this entry be a pivot", and the answer is exactly "is it a unit".
 
 Elements are plain Python ints held in canonical form 0 <= a < p**e,
 where p**e <= 2**31 - 1: make_ring refuses a larger p without a test.
@@ -12,7 +12,6 @@ where p**e <= 2**31 - 1: make_ring refuses a larger p without a test.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from itertools import chain
 from math import isqrt
@@ -20,11 +19,6 @@ from math import isqrt
 from .errors import BadParameters, NotAUnit, NotPrime, Overflow
 
 MAX_MODULUS = 2**31 - 1
-
-
-class ElementKind(enum.Enum):
-    UNIT = "unit"
-    NILPOTENT = "nilpotent"
 
 
 def _least_prime_factor(n: int) -> int:
@@ -57,11 +51,8 @@ class RingSpec:
     def __str__(self) -> str:
         return f"Z_{self.m}"
 
-    def classify(self, a: int) -> ElementKind:
-        """Unit/nilpotent dichotomy for the residue of a."""
-        return ElementKind.NILPOTENT if a % self.p == 0 else ElementKind.UNIT
-
     def is_unit(self, a: int) -> bool:
+        """True for a unit, False for a nilpotent: the dichotomy."""
         return a % self.p != 0
 
     def inverse(self, a: int) -> int:

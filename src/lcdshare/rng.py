@@ -12,6 +12,10 @@ z <- (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 z <- (z ^ (z >> 27)) * 0x94D049BB133111EB
 output z ^ (z >> 31)
 
+A seed is an integer in [0, 2**64), the whole state.  SplitMix64 refuses
+any other with BadParameters: masking it to 64 bits would alias seeds,
+as -1 and 2**64 - 1, or 5 and 2**64 + 5, would name the same draws.
+
 Residues are drawn by rejection below the largest multiple of the
 modulus, so they are exactly uniform, not merely approximately so.
 
@@ -24,6 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import BadParameters
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MUL1 = 0xBF58476D1CE4E5B9
@@ -34,11 +40,11 @@ class SplitMix64:
     """Tiny deterministic PRNG; one instance per seeded operation."""
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK
-
-    def residue(self, m: int) -> int:
-        """Uniform draw from {0, ..., m-1}; m must be positive."""
-        return self.residues(1, m)[0]
+        if seed < 0:
+            raise BadParameters(f"seed must be >= 0, got {seed}")
+        if seed > _MASK:
+            raise BadParameters(f"seed must be < 2^64, got {seed}")
+        self._state = seed
 
     def residues(self, count: int, m: int) -> list[int]:
         """`count` successive uniform draws from {0, ..., m-1}."""

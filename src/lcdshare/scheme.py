@@ -136,14 +136,13 @@ def deal(
     """Deal `count` shares with ids 1..count.
 
     Coefficient rows are drawn uniformly from the seeded generator
-    unless an explicit list overrides them (the override still records
-    the seed it was called with), which must be >= 0.
+    unless an explicit list overrides them; either way the seed is
+    recorded, and SplitMix64 refuses one outside [0, 2^64).
     """
     _check_scheme_inputs(code, secret)
     if count < 1:
         raise BadParameters(f"count must be >= 1, got {count}")
-    if seed < 0:
-        raise BadParameters(f"seed must be >= 0, got {seed}")
+    rng = SplitMix64(seed)
     if coefficients is not None:
         if len(coefficients) != count:
             raise BadParameters(
@@ -151,7 +150,7 @@ def deal(
             )
         rows = stack_rows(list(coefficients))
     else:
-        rows = _random_matrix(SplitMix64(seed), code.ring, count, code.k)
+        rows = _random_matrix(rng, code.ring, count, code.k)
     shares = _deal_rows(code, secret, rows, first_id=1)
     record = DealRecord(
         ring=code.ring,

@@ -214,6 +214,8 @@ def read_deal_record(source: Target) -> DealRecord:
     seed = _as_int(deal_obj["seed"], "deal.seed")
     if seed < 0:
         raise ValidationError(f"deal.seed must be >= 0, got {seed}")
+    if seed >= 2**64:
+        raise ValidationError(f"deal.seed must be < 2^64, got {seed}")
     rows = []
     seen: set[int] = set()
     for i, obj in enumerate(_as_list(deal_obj["l"], "deal.l")):

@@ -22,6 +22,7 @@ import pytest
 
 import reference_data as refdata
 from conftest import DATA_DIR, build_shares
+from reference_codes import is_lcd_oracle
 from test_analysis import count_extensions_exhaustively, sympy_extension_count
 
 from lcdshare import (
@@ -32,7 +33,6 @@ from lcdshare import (
     information_rate,
     is_full_row_rank,
     is_lcd,
-    is_lcd_oracle,
     left_null_vector,
     make_ring,
     matrix,

@@ -513,12 +513,135 @@ def test_recover_ids_refuses_a_picked_y_that_fits_no_secret(tmp_path, capsys):
     )
 
 
+def _gen_code_args(tmp_path, ring="2^1", seed="1"):
+    return ["gen-code", "--ring", ring, "--n", "4", "--k", "2", "--seed", seed,
+            "--out", str(tmp_path / "x.code")]
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_gen_code_refuses_a_seed_outside_the_generator_range(tmp_path, capsys, seed):
+    """Masked to 64 bits, -1 and 2^64 would name the codes of 2^64 - 1 and 0."""
+    bound = ">= 0" if seed == "-1" else "< 2^64"
+    code, out, err = run(capsys, *_gen_code_args(tmp_path, seed=seed))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: BadParameters: seed must be {bound}, got {seed}\n")
+    assert not (tmp_path / "x.code").exists()
+
+
+def _no_lcd_code_in_any_draw(tmp_path, data_dir, monkeypatch):
+    def refuse(*args):
+        raise errors.GenerationFailed("no LCD code found in 0 draws")
+
+    monkeypatch.setattr("lcdshare.cli.random_lcd_code", refuse)
+    return _gen_code_args(tmp_path)
+
+
+def _check_a_non_lcd_code(tmp_path, data_dir, monkeypatch):
+    write_code(tmp_path / "rep.code", parity_check_from_generator(matrix(make_ring(2, 1), [[1, 1]])))
+    return ["check", "--code", str(tmp_path / "rep.code")]
+
+
+def _recover_from(shares, data_dir, *extra):
+    return ["recover", "--code", str(data_dir / "f2_8_5.code"), "--shares", str(shares), *extra]
+
+
+def _recover_from_edited_shares(edit):
+    def argv(tmp_path, data_dir, monkeypatch):
+        target = tmp_path / "edited.shares"
+        target.write_text(edit((data_dir / "f2_8_5.shares").read_text()))
+        return _recover_from(target, data_dir)
+    return argv
+
+
+def _flip_c1_of_share_1(text):
+    """Column 1 of the code's H is nonzero, so the flip breaks parity."""
+    doc = json.loads(text)
+    doc["shares"][0]["c"][1] ^= 1
+    return json.dumps(doc)
+
+
+def _gen_code_over_an_existing_file(tmp_path, data_dir, monkeypatch):
+    (tmp_path / "x.code").write_text("keep")
+    return _gen_code_args(tmp_path)
+
+
+# every REMEDIES key: a command that raises it, the error line's start
+# and the exact hint the command prints
+HINTS = {
+    "NotPrime": (
+        lambda tmp_path, data_dir, monkeypatch: _gen_code_args(tmp_path, ring="4^1"),
+        "error: NotPrime: 4 is not prime",
+        "the ring must be Z_p^e with p prime; pick a prime p",
+    ),
+    "Overflow": (
+        lambda tmp_path, data_dir, monkeypatch: _gen_code_args(tmp_path, ring="2^31"),
+        "error: Overflow: 2^31 = 2147483648 exceeds the supported bound 2147483647",
+        "keep p^e at or below 2^31 - 1",
+    ),
+    "BadParameters": (
+        lambda tmp_path, data_dir, monkeypatch: ["analyze", "--n", "4", "--k", "5", "--q", "2"],
+        "error: BadParameters: ",
+        "adjust the parameters as described above",
+    ),
+    "GenerationFailed": (
+        _no_lcd_code_in_any_draw,
+        "error: GenerationFailed: no LCD code found in 0 draws",
+        "try a different seed or different (n, k)",
+    ),
+    "NotLcd": (
+        _check_a_non_lcd_code,
+        "error: NotLcd: ",
+        "generate a code with gen-code, which only emits LCD codes",
+    ),
+    "NotEnoughIndependentShares": (
+        lambda tmp_path, data_dir, monkeypatch: _recover_from(
+            data_dir / "f2_8_5.shares", data_dir, "--ids", "1,3"
+        ),
+        "error: NotEnoughIndependentShares: 2 shares supplied, need at least k=5",
+        "supply at least k shares with independent codewords",
+    ),
+    "InvalidShare": (
+        _recover_from_edited_shares(_flip_c1_of_share_1),
+        "error: InvalidShare: share 1: c is not a codeword",
+        "a share is corrupted; re-issue it from the dealer",
+    ),
+    "ParseError": (
+        _recover_from_edited_shares(lambda text: text[:50]),
+        "error: ParseError: invalid document",
+        "the file is not a well-formed document of this format",
+    ),
+    "ValidationError": (
+        lambda tmp_path, data_dir, monkeypatch: _recover_from(
+            data_dir / "z4_8_4.shares", data_dir
+        ),
+        "error: ValidationError: shares file does not match the code's ring and length",
+        "fix the named field or regenerate the file",
+    ),
+    "FileExists": (
+        _gen_code_over_an_existing_file,
+        "error: FileExists: [Errno 17] File exists",
+        "pass --overwrite to replace an existing file",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HINTS))
+def test_each_hint_is_printed_for_its_error(name, tmp_path, data_dir, capsys, monkeypatch):
+    argv, error, hint = HINTS[name]
+    code, out, err = run(capsys, *argv(tmp_path, data_dir, monkeypatch))
+    assert code == 1
+    first, second = err.splitlines()
+    assert first.startswith(error) and second == f"hint: {hint}"
+
+
 def test_every_hint_names_an_error_class():
-    """So a hint cannot outlive the error it was written for."""
+    """So a hint cannot outlive the error it was written for, and each
+    hint is one a command can print (HINTS has a command for each)."""
     assert {name for name in REMEDIES if name != "FileExists"} <= {
         name for name, value in vars(errors).items()
         if isinstance(value, type) and issubclass(value, errors.LcdshareError)
     }
+    assert sorted(REMEDIES) == sorted(HINTS)
 
 
 @pytest.fixture(scope="module")

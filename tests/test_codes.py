@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import reference_data as refdata
 from conftest import build_code
+from reference_codes import TooLargeToEnumerate, is_lcd_oracle
 
 from lcdshare import (
     LinearCode,
@@ -17,7 +18,6 @@ from lcdshare import (
     encode,
     is_codeword,
     is_lcd,
-    is_lcd_oracle,
     make_ring,
     matrix,
     parity_check_from_generator,
@@ -30,7 +30,6 @@ from lcdshare.errors import (
     BadParameters,
     DimensionMismatch,
     GenerationFailed,
-    TooLargeToEnumerate,
     ValidationError,
 )
 
@@ -327,5 +326,11 @@ def test_generation_parameter_errors():
         random_lcd_code(r4, n=4, k=0, seed=1)
     with pytest.raises(BadParameters):
         random_lcd_code(r4, n=4, k=5, seed=1)
+    # SplitMix64 would alias these with 2^64 - 1 and 0 if it masked them
+    for draw in (random_code, random_lcd_code):
+        with pytest.raises(BadParameters, match=r"^seed must be >= 0, got -1$"):
+            draw(r4, n=4, k=2, seed=-1)
+        with pytest.raises(BadParameters, match=rf"^seed must be < 2\^64, got {2**64}$"):
+            draw(r4, n=4, k=2, seed=2**64)
     with pytest.raises(GenerationFailed):
         random_lcd_code(r4, n=4, k=2, seed=1, max_tries=0)

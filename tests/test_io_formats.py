@@ -27,7 +27,7 @@ from lcdshare import (
     write_shares,
 )
 from lcdshare.errors import NotPrime, Overflow, ParseError, ValidationError
-from lcdshare.io_formats import ShareFile
+from lcdshare.io_formats import ShareFile, _residue_block, _share_columns
 
 NAMES = sorted(refdata.ALL_INSTANCES)
 
@@ -107,6 +107,19 @@ def test_readers_accept_paths_strings_and_streams(data_dir):
     with open(path, "r") as fh:
         assert read_code(fh) == from_path
     assert read_code(io.BytesIO(path.read_bytes())) == from_path
+
+
+def test_zero_row_blocks_keep_their_width():
+    """H of a k = n code and the codewords of an empty shares document
+    read back as (0, n) blocks, as the validator shapes them."""
+    assert _residue_block([], 5, 4, "G[{i}]").shape == (0, 5)
+    ring = make_ring(2, 2)
+    code = random_lcd_code(ring, 5, 5, seed=1)
+    read_back = read_code(io.BytesIO(dumped(write_code, code)))
+    assert read_back == code and read_back.H.shape == (0, 5)
+    empty = dumped(write_shares, ShareFile(ring, 5, ()))
+    assert read_shares(io.BytesIO(empty)) == ShareFile(ring, 5, ())
+    assert _share_columns(io.BytesIO(empty))[3].shape == (0, 5)
 
 
 def test_writers_refuse_silent_overwrite(tmp_path, f2_85_code):
@@ -199,6 +212,9 @@ def test_corrupted_deal_records_are_rejected(data_dir):
     path = data_dir / "z4_8_4.dealrec"
     with pytest.raises(ValidationError, match="seed"):
         read_deal_record(mutated_bytes(path, lambda d: d["deal"].update(seed=-1)))
+    # deal refuses such a seed, so no dealt record can hold one
+    with pytest.raises(ValidationError, match=rf"^deal\.seed must be < 2\^64, got {2**64}$"):
+        read_deal_record(mutated_bytes(path, lambda d: d["deal"].update(seed=2**64)))
     with pytest.raises(ValidationError, match="length"):
         read_deal_record(mutated_bytes(path, lambda d: d["deal"]["l"][0]["l"].pop()))
     with pytest.raises(ValidationError, match="duplicate"):

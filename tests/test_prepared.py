@@ -74,7 +74,7 @@ def test_residues_advance_the_state_by_the_draws_consumed(m):
         split = rng.residues(37, m) + rng.residues(0, m) + rng.residues(4963, m)
         assert split == SplitMix64(seed).residues(5000, m)
         # the scalar path continues exactly where the block left off
-        assert rng.residue(m) == reference_residues(seed, 5001, m)[-1]
+        assert rng.residues(1, m)[0] == reference_residues(seed, 5001, m)[-1]
 
 
 def test_residues_reject_a_nonpositive_modulus():

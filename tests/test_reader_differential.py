@@ -101,7 +101,7 @@ def valid_documents(draw):
 
     kind = draw(st.sampled_from(sorted(READERS)))
     if kind == "code":
-        k, seed = draw(st.integers(1, n)), draw(st.integers(0, 2**64))
+        k, seed = draw(st.integers(1, n)), draw(st.integers(0, 2**64 - 1))
         code = random_code(ring, n, k, seed)
         return kind, written(write_code, code)
     if kind == "secret":
@@ -114,7 +114,7 @@ def valid_documents(draw):
         return kind, written(write_shares, ShareFile(ring, n, shares))
     k = draw(st.integers(1, n))
     record = DealRecord(
-        ring=ring, n=n, k=k, seed=draw(st.integers(0, 2**70)),
+        ring=ring, n=n, k=k, seed=draw(st.integers(0, 2**64 - 1)),
         coefficients=tuple((pid, row(k)) for pid in ids),
     )
     return kind, written(write_deal_record, record)
@@ -267,6 +267,11 @@ def test_some_corruptions_name_the_bad_entry():
     record["deal"]["l"][3]["l"].append(0)
     assert assert_same_outcome("dealrec", json.dumps(record).encode()) == (
         ValidationError, "deal.l[3].l has length 6, expected k=5"
+    )
+    record = json.loads((DATA_DIR / "f2_8_5.dealrec").read_bytes())
+    record["deal"]["seed"] = 2**64
+    assert assert_same_outcome("dealrec", json.dumps(record).encode()) == (
+        ValidationError, f"deal.seed must be < 2^64, got {2**64}"
     )
     secret = json.loads((DATA_DIR / "z4_8_4.secret").read_bytes())
     secret["ring"]["e"] = 2**64

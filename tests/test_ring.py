@@ -1,5 +1,6 @@
 """Ring construction, the unit/nilpotent dichotomy, and inverses."""
 
+import math
 import random
 
 import pytest
@@ -7,7 +8,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lcdshare import ElementKind, is_prime, make_ring, parse_ring_label
+from lcdshare import is_prime, make_ring, parse_ring_label
 from lcdshare.errors import BadParameters, NotAUnit, NotPrime, Overflow
 from lcdshare import ring as ring_module
 from lcdshare.ring import MAX_MODULUS
@@ -107,13 +108,11 @@ def test_dichotomy_and_inverse_exhaustive(p, e):
     ring = make_ring(p, e)
     for a in range(ring.m):
         if a % p == 0:
-            assert ring.classify(a) is ElementKind.NILPOTENT
             assert not ring.is_unit(a)
             assert pow(a, e, ring.m) == 0
             with pytest.raises(NotAUnit):
                 ring.inverse(a)
         else:
-            assert ring.classify(a) is ElementKind.UNIT
             assert ring.is_unit(a)
             inv = ring.inverse(a)
             assert 0 <= inv < ring.m
@@ -136,15 +135,10 @@ def test_ring_axioms_exhaustive(p, e):
 
 
 @given(st.sampled_from(SMALL_MODULI), st.integers(min_value=-(10**9), max_value=10**9))
-def test_classify_matches_gcd(params, a):
+def test_is_unit_matches_gcd(params, a):
     p, e = params
     ring = make_ring(p, e)
-    import math
-
-    if math.gcd(a % ring.m, ring.m) == 1:
-        assert ring.classify(a) is ElementKind.UNIT
-    else:
-        assert ring.classify(a) is ElementKind.NILPOTENT
+    assert ring.is_unit(a) == (math.gcd(a % ring.m, ring.m) == 1)
 
 
 @given(

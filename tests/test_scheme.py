@@ -102,12 +102,18 @@ def test_deal_parameter_errors(z4_code):
 
 
 def test_deal_refuses_what_the_readers_refuse(z4_code):
-    """A negative seed, which SplitMix64 would mask into a valid draw,
-    and a share id of 0 are refused, as read_deal_record and read_shares
-    refuse them."""
+    """A seed outside [0, 2^64), which masking would alias with one
+    inside, and a share id of 0 are refused, as read_deal_record and
+    read_shares refuse them; explicit coefficients do not lift the seed
+    rule, as the record keeps the seed."""
     secret = build_secret(refdata.Z4_84)
     with pytest.raises(BadParameters, match="^seed must be >= 0, got -3$"):
         deal(z4_code, secret, count=3, seed=-3)
+    with pytest.raises(BadParameters, match=rf"^seed must be < 2\^64, got {2**64 + 5}$"):
+        deal(z4_code, secret, count=3, seed=2**64 + 5)
+    basis = [vector(z4_code.ring, row) for row in refdata.Z4_84["coefficients"][:2]]
+    with pytest.raises(BadParameters, match="^seed must be >= 0, got -1$"):
+        deal(z4_code, secret, count=2, seed=-1, coefficients=basis)
     row = vector(z4_code.ring, [1, 0, 0, 0])
     with pytest.raises(BadParameters, match="^share id must be >= 1, got 0$"):
         deal_one(z4_code, secret, row, share_id=0)

@@ -118,8 +118,8 @@ class LinearCode:
         if self.gram_inverse is None:
             return None
         dual = self.H.T @ self.gram_inverse
-        primal = self.G_plus - dual @ (self.H @ self.G_plus)
-        return RMatrix(self.ring, np.hstack([primal.entries, dual.entries]))
+        primal = self.G_plus.entries - (dual @ (self.H @ self.G_plus)).entries
+        return RMatrix(self.ring, np.hstack([primal, dual.entries]))
 
     @cached_property
     def lcd(self) -> bool:

@@ -197,7 +197,10 @@ def _document(source: Target, kind: str, *fields: str) -> tuple[dict, RingSpec, 
         ring = make_ring(p, e)
     except LcdshareError as exc:
         raise ValidationError(f"{kind}.ring: {exc}") from exc
-    return document, ring, _expect(document["n"], int, f"{kind}.n")
+    n = _expect(document["n"], int, f"{kind}.n")
+    if n < 1:
+        raise ValidationError(f"length n must be >= 1, got {n}")
+    return document, ring, n
 
 
 def _int_rows(rows: list, row: str) -> None:
@@ -271,8 +274,6 @@ def _records(entries: list, where: str, fields: Sequence[str], low_id: str) -> l
 def read_code(source: Target) -> LinearCode:
     document, ring, n = _document(source, "code document", "k", "G", "H")
     k = _expect(document["k"], int, "code document.k")
-    if n < 1:
-        raise ValidationError(f"length n must be >= 1, got {n}")
     g_rows = _expect(document["G"], list, "G")
     _int_rows(g_rows, "G[{i}]")
     h_rows = _expect(document["H"], list, "H")
@@ -294,8 +295,6 @@ def _share_columns(source: Target):
     by one set of types and their least and greatest value, and only a
     failing check walks the shares to name the first bad one."""
     document, ring, n = _document(source, "shares document", "shares")
-    if n < 1:
-        raise ValidationError(f"length n must be >= 1, got {n}")
     entries = _expect(document["shares"], list, "shares")
     ids = _records(
         entries, "shares", ("id", "c", "x", "y"),

@@ -12,8 +12,9 @@ Full row rank in this sense is equivalent to having a right inverse,
 and its failure is equivalent to the existence of a nonzero left null
 vector; both directions are constructive here.
 
-Vectors and matrices are immutable wrappers around int64 numpy arrays
-in canonical residue form.  Every product, on ring arrays and raw
+Vectors and matrices wrap immutable int64 numpy arrays in canonical
+residue form, and they multiply; elementwise work is done on .entries
+and reduced mod m by the caller.  Every product, on ring arrays and raw
 blocks alike, goes through one kernel, _mod_matmul, which takes 1-D
 and 2-D operands and shapes its result as numpy's `@` does: a vector
 is a row on the left and a column on the right.  It reduces in chunks
@@ -69,7 +70,7 @@ def _mod_matmul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class _RArray:
     """What RVector and RMatrix share: an immutable array over a ring,
-    entries canonical in [0, m), compared and combined elementwise."""
+    entries canonical in [0, m), compared elementwise and multiplied."""
 
     ring: RingSpec
     entries: np.ndarray
@@ -87,7 +88,6 @@ class _RArray:
         return (
             isinstance(other, type(self))
             and self.ring == other.ring
-            and self.entries.shape == other.entries.shape
             and bool(np.array_equal(self.entries, other.entries))
         )
 
@@ -100,40 +100,14 @@ class _RArray:
     def tolist(self) -> list:
         return self.entries.tolist()
 
-    def _require_same_ring(self, other):
-        if self.ring != other.ring:
-            raise DimensionMismatch(f"mixed rings {self.ring} and {other.ring}")
-
-    def _require_same_shape(self, other):
-        self._require_same_ring(other)
-        if self.entries.shape != other.entries.shape:
-            raise DimensionMismatch(
-                f"shapes {self.entries.shape} and {other.entries.shape}"
-            )
-
-    def __add__(self, other):
-        self._require_same_shape(other)
-        return type(self)(self.ring, self.entries + other.entries)
-
-    def __sub__(self, other):
-        self._require_same_shape(other)
-        return type(self)(self.ring, self.entries - other.entries)
-
-    def __mul__(self, scalar: int):
-        return type(self)(self.ring, self.entries * (int(scalar) % self.ring.m))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return type(self)(self.ring, -self.entries)
-
     def __matmul__(self, other):
         """The exact product, shaped as numpy shapes it: a vector is a
         row on the left and a column on the right, so vector @ vector is
         an int and every other pairing an RVector or RMatrix."""
         if not isinstance(other, _RArray):
             return NotImplemented
-        self._require_same_ring(other)
+        if self.ring != other.ring:
+            raise DimensionMismatch(f"mixed rings {self.ring} and {other.ring}")
         a, b = self.entries, other.entries
         if a.shape[-1] != b.shape[0]:
             raise DimensionMismatch(f"shapes {a.shape} @ {b.shape}")
@@ -195,10 +169,6 @@ class RMatrix(_RArray):
     @classmethod
     def identity(cls, ring: RingSpec, n: int) -> "RMatrix":
         return cls(ring, np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def zeros(cls, ring: RingSpec, rows: int, cols: int) -> "RMatrix":
-        return cls(ring, np.zeros((rows, cols), dtype=np.int64))
 
 
 def vector(ring: RingSpec, values: Iterable[int]) -> RVector:

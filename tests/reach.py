@@ -1,0 +1,152 @@
+"""Reachability report: the functions in src/lcdshare/ that no entry point enters.
+
+    python tests/reach.py
+
+The entry points are the six demos and bench/run.py --self-check.
+Every entry point runs in this one process, with the working directory
+set to the repository root, under a sys.settrace hook that records call
+events only: it returns None, so no line is traced.  The functions are
+the named code objects compiled from the files of src/lcdshare/, keyed
+by file, first line and name.  <module>, lambdas, comprehensions and
+generator expressions are skipped; the methods a dataclass generates are
+compiled from strings, so they are never among them.
+
+The report prints each function that nothing enters, with its reason
+from KEEP if it has one, and exits 1 if any of them has none: such a
+function is a candidate for deletion.  A name stays in KEEP only with
+a reason that holds whether or not an entry point reaches it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import runpy
+import sys
+import tempfile
+import types
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "lcdshare"
+DEMOS = tuple(sorted((ROOT / "demos").glob("*.py")))
+SELF_CHECK = (ROOT / "bench" / "run.py", "--self-check")
+
+_PINNED = (
+    "bench/spans.py LAYERS looks it up with getattr; "
+    "waits for ROADMAP item 6 or a benchmark change"
+)
+_INVERSE = (
+    "the elimination in tests/reference_recover.py inverts with ring.inverse, "
+    "and a test reference stays"
+)
+
+KEEP = {
+    "io_formats.read_shares": "public reader of a documented format",
+    "io_formats.read_deal_record": "public reader of a documented format",
+    "scheme.deal_one": _PINNED,
+    "linalg.solve_unique": _PINNED,
+    "linalg.select_independent_rows": _PINNED,
+    "linalg.left_null_vector": _PINNED,
+    "linalg.unit_rank": _PINNED,
+    "codes.is_codeword": _PINNED,
+    "cli.main_entry": "the console script in pyproject.toml",
+    "scheme.verify_shares": (
+        "the library's form of CLI verify's batched audit, and what the audit "
+        "differential tests"
+    ),
+    "codes.random_code": (
+        "the only generator of codes not filtered for LCD; non-LCD test cases, "
+        "three differential suites and the acceptance tests draw from it"
+    ),
+    "linalg._RArray.__hash__": "frozen Share and DealRecord hash through their vectors",
+    "linalg._RArray.__repr__": "diagnostics",
+    "linalg.RVector.__getitem__": "part of the read protocol with __len__ and __iter__",
+    "ring.RingSpec.inverse": _INVERSE,
+    "ring.RingSpec.is_unit": _INVERSE,
+}
+
+
+def functions() -> dict[tuple[str, int, str], str]:
+    """Every named function in src/lcdshare/, keyed by (file, first
+    line, name), valued by its module-qualified name."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        stack = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+        while stack:
+            code = stack.pop()
+            stack += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+            if not code.co_name.startswith("<"):
+                key = (str(path), code.co_firstlineno, code.co_name)
+                found[key] = f"{path.stem}.{code.co_qualname}"
+    return found
+
+
+@contextlib.contextmanager
+def _entry_point_context(argv: list[str]):
+    """The repository root as cwd, a scratch temporary directory,
+    silenced standard output and error, and sys.argv, sys.path and os.environ restored
+    afterwards."""
+    saved = (os.getcwd(), sys.argv[:], sys.path[:], dict(os.environ), tempfile.tempdir)
+    with tempfile.TemporaryDirectory(prefix="lcdshare-reach-") as scratch:
+        try:
+            os.chdir(ROOT)
+            sys.argv = argv
+            sys.path[:0] = [str(ROOT / "src")]
+            tempfile.tempdir = scratch
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                yield
+        finally:
+            cwd, sys.argv, sys.path[:], environ, tempfile.tempdir = saved
+            os.environ.clear()
+            os.environ.update(environ)
+            os.chdir(cwd)
+
+
+def _run(script: Path, *args: str) -> None:
+    with _entry_point_context([str(script), *args]):
+        try:
+            runpy.run_path(str(script), run_name="__main__")
+        except SystemExit as exc:
+            if exc.code not in (None, 0):
+                raise RuntimeError(f"{script.name} {' '.join(args)} exited with {exc.code}")
+
+
+def never_entered(entry_points) -> list[tuple[str, str]]:
+    """(name, file:line) of each function in src/lcdshare/ that none of
+    entry_points enters; an entry point is a script path and its
+    arguments.  Whatever trace function was set before is set again."""
+    entered: set[types.CodeType] = set()
+
+    def record(frame, event, arg):
+        entered.add(frame.f_code)
+
+    previous = sys.gettrace()
+    sys.settrace(record)
+    try:
+        for script, *args in entry_points:
+            _run(script, *args)
+    finally:
+        sys.settrace(previous)
+    reached = {
+        (os.path.realpath(c.co_filename), c.co_firstlineno, c.co_name) for c in entered
+    }
+    return [
+        (name, f"{Path(path).relative_to(ROOT)}:{line}")
+        for (path, line, code_name), name in sorted(functions().items())
+        if (os.path.realpath(path), line, code_name) not in reached
+    ]
+
+
+def main() -> int:
+    unentered = never_entered([(demo,) for demo in DEMOS] + [SELF_CHECK])
+    print(f"{len(unentered)} functions in src/lcdshare/ never entered")
+    for name, where in unentered:
+        print(f"  {name} ({where}): {KEEP.get(name, 'NOT IN KEEP')}")
+    return 0 if all(name in KEEP for name, _ in unentered) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

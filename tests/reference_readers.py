@@ -121,9 +121,9 @@ def read_code(source: Target) -> LinearCode:
     _check_version(document, "code document")
     ring = _parse_ring(document, "code document")
     n = _as_int(document["n"], "code document.n")
-    k = _as_int(document["k"], "code document.k")
     if n < 1:
         raise ValidationError(f"length n must be >= 1, got {n}")
+    k = _as_int(document["k"], "code document.k")
     g_rows = [_int_list(row, f"G[{i}]") for i, row in enumerate(_as_list(document["G"], "G"))]
     h_rows = [_int_list(row, f"H[{i}]") for i, row in enumerate(_as_list(document["H"], "H"))]
     if len(g_rows) != k:
@@ -189,6 +189,8 @@ def read_secret(source: Target) -> RVector:
     _check_version(document, "secret document")
     ring = _parse_ring(document, "secret document")
     n = _as_int(document["n"], "secret document.n")
+    if n < 1:
+        raise ValidationError(f"length n must be >= 1, got {n}")
     secret_obj = _as_object(document["secret"], "secret")
     _expect_fields(secret_obj, ("s",), "secret")
     values = _int_list(secret_obj["s"], "secret.s")
@@ -206,6 +208,8 @@ def read_deal_record(source: Target) -> DealRecord:
     _check_version(document, "deal record")
     ring = _parse_ring(document, "deal record")
     n = _as_int(document["n"], "deal record.n")
+    if n < 1:
+        raise ValidationError(f"length n must be >= 1, got {n}")
     k = _as_int(document["k"], "deal record.k")
     if not 1 <= k <= n:
         raise ValidationError(f"dimension k={k} outside 1..n={n}")

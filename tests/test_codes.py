@@ -133,7 +133,8 @@ def test_parity_check_random_properties():
     for ring in SMALL_RINGS:
         for seed in range(12):
             code = random_code(ring, n=6, k=3, seed=seed)
-            assert code.G @ code.H.T == RMatrix.zeros(ring, 3, 3)
+            syndromes = code.G @ code.H.T
+            assert syndromes.shape == (3, 3) and not syndromes.entries.any()
             assert unit_rank(code.H) == 3
 
 
@@ -207,7 +208,9 @@ def test_encode_is_linear(data):
     u = vector(ring, [data.draw(elem) for _ in range(2)])
     v = vector(ring, [data.draw(elem) for _ in range(2)])
     a = data.draw(elem)
-    assert encode(code, a * u + v) == a * encode(code, u) + encode(code, v)
+    combined = vector(ring, a * u.entries + v.entries)
+    expected = (a * encode(code, u).entries + encode(code, v).entries) % ring.m
+    assert encode(code, combined).tolist() == expected.tolist()
 
 
 def test_encode_rejects_bad_input(z4_code):

@@ -111,11 +111,6 @@ def test_vector_canonical_form():
 def test_vector_arithmetic_anchors():
     ring = make_ring(2, 2)
     u, v = vector(ring, [1, 2]), vector(ring, [3, 3])
-    assert (u + v).tolist() == [0, 1]
-    assert (u - v).tolist() == [2, 3]
-    assert (-u).tolist() == [3, 2]
-    assert (3 * u).tolist() == [3, 2]
-    assert (u * 3).tolist() == [3, 2]
     assert u @ v == (1 * 3 + 2 * 3) % 4
 
 
@@ -126,9 +121,6 @@ def test_matrix_vector_products():
     assert (mat @ v).tolist() == [1, 1]
     assert (v @ mat).tolist() == [3, 0]
     assert (mat @ mat).tolist() == [[3, 0], [2, 3]]
-    assert (mat + mat).tolist() == [[2, 0], [2, 2]]
-    assert (mat - mat).tolist() == [[0, 0], [0, 0]]
-    assert (2 * mat).tolist() == [[2, 0], [2, 2]]
     assert mat.T.tolist() == [[1, 3], [2, 1]]
     assert mat.row(1).tolist() == [3, 1]
 
@@ -140,7 +132,6 @@ def test_matrix_helpers():
     assert mat.take_rows([2, 0]).tolist() == [[2, 2, 0], [0, 1, 2]]
     assert mat.take_cols([1]).tolist() == [[1], [0], [2]]
     assert RMatrix.identity(ring, 2).tolist() == [[1, 0], [0, 1]]
-    assert RMatrix.zeros(ring, 2, 3).tolist() == [[0, 0, 0], [0, 0, 0]]
     stacked = stack_rows([mat.row(0), mat.take_rows([1, 2])])
     assert stacked.tolist() == mat.tolist()
 
@@ -163,14 +154,15 @@ def test_equality_and_hash():
     assert vector(r4, [1, 2]) != vector(r4, [1, 2, 0])
     assert matrix(r4, [[1]]) == matrix(r4, [[-3]])
     assert matrix(r4, [[1]]) != matrix(r4, [[2]])
+    assert matrix(r4, [[1, 2]]) != matrix(r4, [[1], [2]])
 
 
 def test_shape_and_ring_mismatches():
     r4, r9 = make_ring(2, 2), make_ring(3, 2)
-    with pytest.raises(DimensionMismatch):
-        vector(r4, [1, 2]) + vector(r4, [1, 2, 3])
-    with pytest.raises(DimensionMismatch):
-        vector(r4, [1, 2]) + vector(r9, [1, 2])
+    with pytest.raises(DimensionMismatch, match=r"^shapes \(2,\) @ \(3,\)$"):
+        vector(r4, [1, 2]) @ vector(r4, [1, 2, 3])
+    with pytest.raises(DimensionMismatch, match="^mixed rings Z_4 and Z_9$"):
+        vector(r4, [1, 2]) @ vector(r9, [1, 2])
     with pytest.raises(DimensionMismatch):
         vector(r4, [1, 2]) @ matrix(r4, [[1, 2]])
     with pytest.raises(DimensionMismatch):
@@ -359,7 +351,7 @@ def test_matmul_mismatch_names_both_shapes():
 def test_unit_rank_anchors():
     r4 = make_ring(2, 2)
     assert unit_rank(RMatrix.identity(r4, 5)) == 5
-    assert unit_rank(RMatrix.zeros(r4, 3, 4)) == 0
+    assert unit_rank(matrix(r4, [[0] * 4] * 3)) == 0
     # entries divisible by p never qualify as pivots
     assert unit_rank(matrix(r4, [[2, 0], [0, 2]])) == 0
     assert unit_rank(matrix(r4, [[1, 2], [2, 2]])) == 1

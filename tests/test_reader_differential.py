@@ -1,9 +1,11 @@
 """The bulk document readers against the per-element reference readers.
 
-Every document, valid or corrupted in one field, must give the same
-outcome from both: an equal object, or the same error class and
-message.  Corrupted documents may only raise ParseError or
-ValidationError.
+Every valid document, and every document corrupted in one field, must
+give the same outcome from both: an equal object, or the same error
+class and message.  A document with several faults must be refused by
+both, but they may name different faults: the bulk readers check a
+whole block before they walk it, so they can meet a later fault first.
+Corrupted documents may only raise ParseError or ValidationError.
 """
 
 import io
@@ -276,3 +278,30 @@ def test_some_corruptions_name_the_bad_entry():
     secret = json.loads((DATA_DIR / "z4_8_4.secret").read_bytes())
     secret["ring"]["e"] = 2**64
     assert assert_same_outcome("secret", json.dumps(secret).encode())[0] is ValidationError
+    secret = json.loads((DATA_DIR / "z4_8_4.secret").read_bytes())
+    secret.update(n=0, secret={"s": []})
+    assert assert_same_outcome("secret", json.dumps(secret).encode()) == (
+        ValidationError, "length n must be >= 1, got 0"
+    )
+    shares = json.loads((DATA_DIR / "z4_8_4.shares").read_bytes())
+    shares["n"] = 0
+    assert assert_same_outcome("shares", json.dumps(shares).encode()) == (
+        ValidationError, "length n must be >= 1, got 0"
+    )
+    record = json.loads((DATA_DIR / "z4_8_4.dealrec").read_bytes())
+    record["n"] = 0
+    assert assert_same_outcome("dealrec", json.dumps(record).encode()) == (
+        ValidationError, "length n must be >= 1, got 0"
+    )
+
+
+def test_a_document_with_two_faults_is_refused_by_both_readers():
+    """Both refuse it, but not with the same message: the bulk reader
+    checks every codeword's length before any x, so it names share 1
+    where the reference, reading share by share, names share 0."""
+    shares = json.loads((DATA_DIR / "z4_8_4.shares").read_bytes())
+    shares["shares"][0]["x"] = 9
+    shares["shares"][1]["c"] = [0, 1]
+    data = json.dumps(shares).encode()
+    for read in READERS["shares"]:
+        assert outcome(read, data)[0] in (ParseError, ValidationError)

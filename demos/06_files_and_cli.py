@@ -63,6 +63,16 @@ try:
 except ValidationError as exc:
     print(f"  ValidationError: {exc}")
 
+print("\na shares file as written is read at byte speed; a hand-edited one")
+print("goes through the strict reader, which names the fault:")
+print(f"  {len(read_shares(workdir / 'demo.shares').shares)} shares read back")
+doc = json.loads((workdir / "demo.shares").read_text())
+doc["shares"][1]["x"] = 7
+try:
+    read_shares(io.BytesIO(json.dumps(doc).encode()))
+except ValidationError as exc:
+    print(f"  ValidationError: {exc}")
+
 print("\nthe same pipeline through the command line front end:")
 rc = main(["recover", "--code", str(code_path),
            "--shares", str(workdir / "demo.shares"), "--verbose"])

@@ -22,6 +22,15 @@ Each check runs over a whole block of residue rows (_residue_block) or
 a whole list of participant records (_records) at once, and walks it
 entry by entry only to name the first fault of a block that fails.
 Writers refuse to replace an existing file unless overwrite is set.
+
+A shares document laid out byte for byte as write_shares lays it out
+is read without a JSON parser (_canonical_share_columns): one
+comparison of its bytes without their digits against the writer's
+layout, one vectorised pass over its numbers, and the same checks as
+the strict reader on the resulting arrays.  Any other document that
+json parses gives identical results through the strict reader, and so
+does any document that fails a check: error messages always come from
+the strict reader.
 """
 
 from __future__ import annotations
@@ -147,8 +156,7 @@ def _reject_duplicate_keys(pairs):
     return document
 
 
-def _parse(source: Target) -> dict:
-    raw = _read_bytes(source)
+def _parse(raw: bytes) -> dict:
     try:
         document = json.loads(
             raw.decode("utf-8"), object_pairs_hook=_reject_duplicate_keys
@@ -183,10 +191,10 @@ def _object(value, fields: Sequence[str], where: str) -> dict:
     return value
 
 
-def _document(source: Target, kind: str, *fields: str) -> tuple[dict, RingSpec, int]:
+def _document(raw: bytes, kind: str, *fields: str) -> tuple[dict, RingSpec, int]:
     """Parse a document and check the part every kind shares: its field
     set, format_version, ring and n."""
-    document = _object(_parse(source), ("format_version", "ring", "n") + fields, kind)
+    document = _object(_parse(raw), ("format_version", "ring", "n") + fields, kind)
     version = _expect(document.get("format_version"), int, f"{kind}.format_version")
     if version != FORMAT_VERSION:
         raise ParseError(f"{kind}: unsupported format_version {version}")
@@ -272,7 +280,7 @@ def _records(entries: list, where: str, fields: Sequence[str], low_id: str) -> l
 
 
 def read_code(source: Target) -> LinearCode:
-    document, ring, n = _document(source, "code document", "k", "G", "H")
+    document, ring, n = _document(_read_bytes(source), "code document", "k", "G", "H")
     k = _expect(document["k"], int, "code document.k")
     g_rows = _expect(document["G"], list, "G")
     _int_rows(g_rows, "G[{i}]")
@@ -287,14 +295,84 @@ def read_code(source: Target) -> LinearCode:
     return LinearCode(ring=ring, n=n, k=k, G=RMatrix(ring, G), H=RMatrix(ring, H))
 
 
-def _share_columns(source: Target):
-    """Check a shares document and return it as columns: ring, n, the
-    ids, the (N, n) int64 block of codewords, and the x and y values.
+def _numbers(raw: bytes):
+    """Every number of a document, in order, as one int64 array, if each
+    is a run of decimal digits that stands after a space and before a
+    comma or a newline, has no leading zero, which JSON forbids, and has
+    at most 18 digits, so that it fits; None otherwise.  The runs are
+    read one digit place at a time, each place of every run at once."""
+    data = np.frombuffer(raw, np.uint8)
+    edges = np.flatnonzero(np.diff(data - 48 < 10))
+    if edges.size % 2 or not edges.size:
+        return None
+    # the byte before each run and its last digit; if the first byte is
+    # a digit, these pairs are shifted and data[before] holds digits
+    before, last = edges[0::2], edges[1::2]
+    length, after = last - before, data[last + 1]
+    if (
+        (data[before] != 32).any()
+        or ((after != 44) & (after != 10)).any()
+        or ((data[before + 1] == 48) & (length > 1)).any()
+        or length.max() > 18
+    ):
+        return None
+    values = data[last].astype(np.int64) - 48
+    for j in range(1, length.max()):  # the digit j places before each run's last
+        digits = data.take(last - j, mode="clip").astype(np.int64) - 48
+        values += np.where(j < length, digits, 0) * 10**j
+    return values
+
+
+def _canonical_share_columns(raw: bytes):
+    """What _share_columns returns, read without a JSON parser from a
+    shares document laid out byte for byte as write_shares lays it out
+    and passing every check of the strict path; None for any other
+    document, which the strict path then reads or refuses.
+
+    Without its digits, the document must equal the writer's layout for
+    its n and share count.  In that layout a number, and nothing else,
+    stands after a space and before a comma or a newline, which is
+    where _numbers finds every digit run; so a document that matches
+    has exactly one run in each number's place."""
+    values = _numbers(raw)
+    if values is None or values.size < 4:
+        return None
+    version, p, e, n = values[:4].tolist()
+    if version != FORMAT_VERSION or n < 1 or (values.size - 4) % (n + 3):
+        return None
+    count = (values.size - 4) // (n + 3)
+    record = (  # repeated count times; with no shares, n may be of any size
+        b'\n    {\n      "id": ,\n      "c": [' + b"\n        ," * (n - 1) * (count > 0)
+        + b'\n        \n      ],\n      "x": ,\n      "y": \n    }'
+    )
+    layout = (
+        b'{\n  "format_version": ,\n  "ring": {\n    "p": ,\n    "e": \n  },\n  "n": ,\n'
+        b'  "shares": [' + b",".join([record] * count)
+        + (b"\n  ]\n}\n" if count else b"]\n}\n")
+    )
+    if raw.translate(None, b"0123456789") != layout:
+        return None
+    try:
+        ring = make_ring(p, e)
+    except LcdshareError:
+        return None
+    block = values[4:].reshape(count, n + 3)  # a row per share: id, c, x, y
+    ids, words, x, y = block[:, 0], block[:, 1:-2], block[:, -2], block[:, -1]
+    if count and (
+        ids.min() < 1 or block[:, 1:].max() >= ring.m or np.unique(ids).size < count
+    ):
+        return None
+    return ring, n, ids.tolist(), words.copy(), x.tolist(), y.tolist()
+
+
+def _json_share_columns(raw: bytes):
+    """What _share_columns returns, from any shares document that json
+    parses, and the one reader that names the fault of one it refuses.
 
     Past _records and _residue_block, the x and y values are checked
     by one set of types and their least and greatest value, and only a
     failing check walks the shares to name the first bad one."""
-    document, ring, n = _document(source, "shares document", "shares")
+    document, ring, n = _document(raw, "shares document", "shares")
     entries = _expect(document["shares"], list, "shares")
     ids = _records(
         entries, "shares", ("id", "c", "x", "y"),
@@ -319,6 +397,15 @@ def _share_columns(source: Target):
     return ring, n, ids, words, xs, ys
 
 
+def _share_columns(source: Target):
+    """Check a shares document and return it as columns: ring, n, the
+    ids, the (N, n) int64 block of codewords, and the x and y values.
+    A document laid out as write_shares lays it out is read at byte
+    speed; any other, and any that fails a check, by the strict reader."""
+    raw = _read_bytes(source)
+    return _canonical_share_columns(raw) or _json_share_columns(raw)
+
+
 def _shares(ring: RingSpec, ids, words, xs, ys, rows: Sequence[int]) -> tuple[Share, ...]:
     """Share objects for the given rows of the columns _share_columns
     returns, in the order of rows."""
@@ -333,14 +420,14 @@ def read_shares(source: Target) -> ShareFile:
 
 
 def read_secret(source: Target) -> RVector:
-    document, ring, n = _document(source, "secret document", "secret")
+    document, ring, n = _document(_read_bytes(source), "secret document", "secret")
     secret_obj = _object(document["secret"], ("s",), "secret")
     values = _expect(secret_obj["s"], list, "secret.s")
     return RVector(ring, _residue_block([values], n, ring.m, "secret.s")[0])
 
 
 def read_deal_record(source: Target) -> DealRecord:
-    document, ring, n = _document(source, "deal record", "k", "deal")
+    document, ring, n = _document(_read_bytes(source), "deal record", "k", "deal")
     k = _expect(document["k"], int, "deal record.k")
     if not 1 <= k <= n:
         raise ValidationError(f"dimension k={k} outside 1..n={n}")

@@ -1,12 +1,16 @@
-"""Shared fixtures: reference codes, dealt share tables, golden files."""
+"""Shared fixtures: reference codes, dealt share tables, golden files,
+and one run of every entry point."""
 
+import json
 import pathlib
+import subprocess
 import sys
 
 import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
+import reach  # noqa: E402
 import reference_data as refdata  # noqa: E402
 
 from lcdshare import LinearCode, deal, make_ring, matrix, vector
@@ -78,3 +82,19 @@ def f2_84_dealt():
 @pytest.fixture(scope="session")
 def data_dir():
     return DATA_DIR
+
+
+@pytest.fixture(scope="session")
+def entry_point_runs(tmp_path_factory):
+    """One run of the reachability report, which runs the six demos and
+    bench/run.py --self-check: the report's own completed process, and
+    each entry point's exit status and standard output and error, keyed
+    as in reach.never_entered.  A child process keeps the self-check's
+    gc.freeze() and sys.path edits out of this one."""
+    runs = tmp_path_factory.mktemp("reach") / "runs.json"
+    report = subprocess.run(
+        [sys.executable, str(reach.ROOT / "tests" / "reach.py"), "--runs", str(runs)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert runs.exists(), report.stdout + report.stderr
+    return report, json.loads(runs.read_text(encoding="utf-8"))

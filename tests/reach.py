@@ -1,6 +1,6 @@
 """Reachability report: the functions in src/lcdshare/ that no entry point enters.
 
-    python tests/reach.py
+    python tests/reach.py [--runs FILE]
 
 The entry points are the six demos and bench/run.py --self-check.
 Every entry point runs in this one process, with the working directory
@@ -14,17 +14,25 @@ compiled from strings, so they are never among them.
 The report prints each function that nothing enters, with its reason
 from KEEP if it has one, and exits 1 if any of them has none: such a
 function is a candidate for deletion.  A name stays in KEEP only with
-a reason that holds whether or not an entry point reaches it.
+a reason that holds whether or not an entry point reaches it.  It also
+exits 1 if an entry point exits non-zero.  With --runs it writes each
+entry point's exit status and standard output and error to FILE as
+JSON, keyed by its path and arguments, so that the tests of the demos
+and of the self-check read them instead of running each entry point
+again.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
+import json
 import os
 import runpy
 import sys
 import tempfile
+import traceback
 import types
 from pathlib import Path
 
@@ -84,10 +92,10 @@ def functions() -> dict[tuple[str, int, str], str]:
 
 
 @contextlib.contextmanager
-def _entry_point_context(argv: list[str]):
+def _entry_point_context(argv: list[str], out: io.StringIO, err: io.StringIO):
     """The repository root as cwd, a scratch temporary directory,
-    silenced standard output and error, and sys.argv, sys.path and os.environ restored
-    afterwards."""
+    standard output and error sent to out and err, and sys.argv,
+    sys.path and os.environ restored afterwards."""
     saved = (os.getcwd(), sys.argv[:], sys.path[:], dict(os.environ), tempfile.tempdir)
     with tempfile.TemporaryDirectory(prefix="lcdshare-reach-") as scratch:
         try:
@@ -95,8 +103,7 @@ def _entry_point_context(argv: list[str]):
             sys.argv = argv
             sys.path[:0] = [str(ROOT / "src")]
             tempfile.tempdir = scratch
-            sink = io.StringIO()
-            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 yield
         finally:
             cwd, sys.argv, sys.path[:], environ, tempfile.tempdir = saved
@@ -105,19 +112,30 @@ def _entry_point_context(argv: list[str]):
             os.chdir(cwd)
 
 
-def _run(script: Path, *args: str) -> None:
-    with _entry_point_context([str(script), *args]):
+def _run(script: Path, *args: str) -> dict:
+    """Run one entry point: its exit status as a process would give it
+    (1 for an uncaught exception, whose traceback goes to its standard
+    error), and its standard output and error."""
+    out, err = io.StringIO(), io.StringIO()
+    with _entry_point_context([str(script), *args], out, err):
         try:
             runpy.run_path(str(script), run_name="__main__")
+            status = 0
         except SystemExit as exc:
-            if exc.code not in (None, 0):
-                raise RuntimeError(f"{script.name} {' '.join(args)} exited with {exc.code}")
+            status = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+        except Exception:
+            traceback.print_exc()
+            status = 1
+    return {"exit": status, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-def never_entered(entry_points) -> list[tuple[str, str]]:
+def never_entered(entry_points) -> tuple[list[tuple[str, str]], dict[str, dict]]:
     """(name, file:line) of each function in src/lcdshare/ that none of
-    entry_points enters; an entry point is a script path and its
-    arguments.  Whatever trace function was set before is set again."""
+    entry_points enters, and what each entry point's run gave (see _run),
+    keyed by its path from the repository root and its arguments; an
+    entry point is a script path and its arguments.  Whatever trace
+    function was set before is set again."""
+    runs = {}
     entered: set[types.CodeType] = set()
 
     def record(frame, event, arg):
@@ -127,25 +145,35 @@ def never_entered(entry_points) -> list[tuple[str, str]]:
     sys.settrace(record)
     try:
         for script, *args in entry_points:
-            _run(script, *args)
+            label = " ".join([str(Path(script).relative_to(ROOT)), *args])
+            runs[label] = _run(script, *args)
     finally:
         sys.settrace(previous)
     reached = {
         (os.path.realpath(c.co_filename), c.co_firstlineno, c.co_name) for c in entered
     }
-    return [
+    unentered = [
         (name, f"{Path(path).relative_to(ROOT)}:{line}")
         for (path, line, code_name), name in sorted(functions().items())
         if (os.path.realpath(path), line, code_name) not in reached
     ]
+    return unentered, runs
 
 
-def main() -> int:
-    unentered = never_entered([(demo,) for demo in DEMOS] + [SELF_CHECK])
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--runs", help="write each entry point's exit status and output here")
+    args = parser.parse_args(argv)
+    unentered, runs = never_entered([(demo,) for demo in DEMOS] + [SELF_CHECK])
+    if args.runs:
+        Path(args.runs).write_text(json.dumps(runs, indent=1), encoding="utf-8")
     print(f"{len(unentered)} functions in src/lcdshare/ never entered")
     for name, where in unentered:
         print(f"  {name} ({where}): {KEEP.get(name, 'NOT IN KEEP')}")
-    return 0 if all(name in KEEP for name, _ in unentered) else 1
+    failed = {label: run for label, run in runs.items() if run["exit"] != 0}
+    for label, run in failed.items():
+        print(f"{label} exited with {run['exit']}:\n{run['stderr']}")
+    return 0 if all(name in KEEP for name, _ in unentered) and not failed else 1
 
 
 if __name__ == "__main__":

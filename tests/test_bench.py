@@ -2,19 +2,12 @@
 
 The benchmark wraps library functions by name (see bench/spans.py), so
 a rename that breaks it should fail here, not only when it is next run.
+The self-check runs once per test session, inside the reachability
+report (see the entry_point_runs fixture).
 """
 
-import pathlib
-import subprocess
-import sys
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-
-def test_benchmark_self_check_passes():
-    proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--self-check"],
-        cwd=ROOT, capture_output=True, text=True, timeout=600,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "self-check passed" in proc.stdout
+def test_benchmark_self_check_passes(entry_point_runs):
+    run = entry_point_runs[1]["bench/run.py --self-check"]
+    assert run["exit"] == 0, run["stdout"] + run["stderr"]
+    assert "self-check passed" in run["stdout"]

@@ -1,9 +1,10 @@
-"""Every demo script runs to completion against the package in src/."""
+"""Every demo script runs to completion against the package in src/.
 
-import os
+The demos run once per test session, inside the reachability report
+(see the entry_point_runs fixture), which also records which functions
+they enter."""
+
 import pathlib
-import subprocess
-import sys
 
 import pytest
 
@@ -16,12 +17,8 @@ def test_there_are_six_demos():
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
-def test_demo_runs(demo, tmp_path):
-    # TMPDIR keeps the working files of the files-and-CLI demo under tmp_path
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path)}
-    proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, cwd=tmp_path
-    )
-    assert proc.returncode == 0, proc.stderr
+def test_demo_runs(demo, entry_point_runs):
+    run = entry_point_runs[1][f"demos/{demo.name}"]
+    assert run["exit"] == 0, run["stderr"]
     if demo.stem == "06_files_and_cli":
-        assert "secret: 1,2,0,3,0,2" in proc.stdout.splitlines()
+        assert "secret: 1,2,0,3,0,2" in run["stdout"].splitlines()

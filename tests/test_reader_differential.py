@@ -6,6 +6,11 @@ class and message.  A document with several faults must be refused by
 both, but they may name different faults: the bulk readers check a
 whole block before they walk it, so they can meet a later fault first.
 Corrupted documents may only raise ParseError or ValidationError.
+
+A shares document laid out exactly as write_shares lays it out is read
+by a byte-level reader; every other one, and every one that fails a
+check, by the strict JSON reader.  So the byte-level reader must either
+decline a document or return exactly the strict reader's columns.
 """
 
 import io
@@ -32,7 +37,7 @@ from lcdshare import (
     write_secret,
     write_shares,
 )
-from lcdshare import io_formats
+from lcdshare import cli, io_formats
 from lcdshare.errors import ParseError, ValidationError
 from lcdshare.io_formats import ShareFile
 
@@ -63,6 +68,27 @@ def assert_same_outcome(kind: str, data: bytes):
     assert new == old
     assert new[0] in ("ok", ParseError, ValidationError)
     return new
+
+
+def _columns(columns):
+    """Share columns in a form that == compares in full: the int64
+    block's dtype, shape and entries, and the type of every number."""
+    ring, n, ids, words, xs, ys = columns
+    numbers = [n, *ids, *xs, *ys]
+    return ring, numbers, list(map(type, numbers)), words.dtype, words.shape, words.tolist()
+
+
+def assert_fast_reader_agrees(data: bytes):
+    """The byte-level shares reader declines data, or returns exactly
+    the strict reader's columns for it."""
+    fast = io_formats._canonical_share_columns(data)
+    if fast is not None:
+        assert _columns(fast) == _columns(io_formats._json_share_columns(data))
+
+
+def laid_out(document) -> bytes:
+    """A document in the layout the writers give it."""
+    return (json.dumps(document, indent=2) + "\n").encode()
 
 
 def _generated_documents():
@@ -127,6 +153,7 @@ def valid_documents(draw):
 def test_valid_documents_decode_to_the_reference_objects(document):
     kind, data = document
     assert assert_same_outcome(kind, data)[0] == "ok"
+    assert_fast_reader_agrees(data)
 
 
 # ------------------------------------------------- one-field corruptions
@@ -249,7 +276,128 @@ def corrupted(data: bytes, draw) -> bytes:
 @given(st.sampled_from(CORPUS), st.data())
 def test_one_field_corruptions_fail_as_the_reference_fails(document, data):
     kind, raw = document
-    assert_same_outcome(kind, corrupted(raw, data.draw))
+    bad = corrupted(raw, data.draw)
+    assert_same_outcome(kind, bad)
+    assert_fast_reader_agrees(bad)
+    try:  # the same corruption in the writers' layout, where the byte-level reader looks
+        bad = laid_out(json.loads(bad))
+    except ValueError:
+        return
+    assert_same_outcome(kind, bad)
+    assert_fast_reader_agrees(bad)
+
+
+def test_the_fast_reader_accepts_every_written_shares_document():
+    """A change to the writers' layout must not send every read of a
+    shares document to the strict reader unseen."""
+    ring = make_ring(65521, 1)
+    code = random_lcd_code(ring, 8, 4, seed=2)
+    secret = vector(ring, SplitMix64(5).residues(8, ring.m))
+    shares, _ = deal(code, secret, count=1000, seed=9)
+    documents = [data for kind, data in CORPUS if kind == "shares"] + [
+        written(write_shares, ShareFile(ring, 8, ())),
+        written(write_shares, ShareFile(ring, 8, tuple(shares))),
+    ]
+    for data in documents:
+        fast = io_formats._canonical_share_columns(data)
+        assert fast is not None
+        assert _columns(fast) == _columns(io_formats._json_share_columns(data))
+    assert len(fast[2]) == 1000
+
+
+# ------------------------------------ faults in the writers' shares layout
+
+SHARES_FILE = (DATA_DIR / "z4_8_4.shares").read_bytes()  # Z_4, n = 8, ids 1..10
+SHARES = json.loads(SHARES_FILE)
+
+
+def _edited(edit) -> bytes:
+    document = json.loads(json.dumps(SHARES))
+    edit(document)
+    return laid_out(document)
+
+
+def _share(i, **fields):
+    return lambda document: document["shares"][i].update(fields)
+
+
+SKELETON_FAULTS = {
+    # name: (document, whether its bytes without digits are the written file's,
+    #        the strict reader's error class and message)
+    "leading zero": (
+        SHARES_FILE.replace(b'"id": 7,', b'"id": 07,'), True,
+        ParseError, "invalid document: Expecting ',' delimiter (line 100 column 14)",
+    ),
+    "residue equal to m": (
+        _edited(lambda d: d["shares"][1]["c"].__setitem__(4, 4)), True,
+        ValidationError, "shares[1].c[4]: residue 4 out of range 0..3",
+    ),
+    "duplicate id": (
+        _edited(_share(3, id=2)), True, ValidationError, "duplicate participant id 2",
+    ),
+    "id 0": (
+        _edited(_share(2, id=0)), True,
+        ValidationError, "shares[2]: participant id must be >= 1, got 0",
+    ),
+    "19-digit run": (
+        _edited(lambda d: d["shares"][0]["c"].__setitem__(0, 10**18)), True,
+        ValidationError, f"shares[0].c[0]: residue {10**18} out of range 0..3",
+    ),
+    "25-digit run": (
+        _edited(_share(2, x=10**24)), True,
+        ValidationError, f"shares[2].x[0]: residue {10**24} out of range 0..3",
+    ),
+    "format_version 2": (
+        _edited(lambda d: d.update(format_version=2)), True,
+        ParseError, "shares document: unsupported format_version 2",
+    ),
+    "p = 4": (
+        _edited(lambda d: d["ring"].update(p=4)), True,
+        ValidationError, "shares document.ring: 4 is not prime",
+    ),
+    "a digit moved into a key": (
+        SHARES_FILE.replace(b'"n": 8,', b'"n8": ,'), True,
+        ParseError, "invalid document: Expecting value (line 7 column 9)",
+    ),
+    "a number moved after a brace": (
+        SHARES_FILE.replace(b'"e": 2\n  },', b'"e": \n  }2,'), True,
+        ParseError, "invalid document: Expecting value (line 6 column 3)",
+    ),
+    "a number moved before a bracket": (
+        SHARES_FILE.replace(b'"c": [\n        1,', b'"c": 1[\n        ,', 1), True,
+        ParseError, "invalid document: Expecting ',' delimiter (line 11 column 13)",
+    ),
+    "a c entry removed, so n and the share count no longer fit": (
+        _edited(lambda d: d["shares"][5]["c"].pop()), False,
+        ValidationError, "shares[5]: c has length 7, expected n=8",
+    ),
+}
+
+
+def test_ids_beyond_int64_read_as_the_reference_reads_them():
+    """An id of 19 digits fits int64 and one of 20 does not; the second
+    wraps to 11 in int64, which no other share has."""
+    document = json.loads(SHARES_FILE)
+    document["shares"][0]["id"] = 10**18
+    document["shares"][1]["id"] = 2**64 + 11
+    data = laid_out(document)
+    assert assert_same_outcome("shares", data)[0] == "ok"
+    assert_fast_reader_agrees(data)
+
+
+@pytest.mark.parametrize("fault", SKELETON_FAULTS)
+def test_faults_in_the_written_layout_get_the_strict_readers_error(fault, tmp_path, capsys):
+    data, intact, error, message = SKELETON_FAULTS[fault]
+    digits = b"0123456789"
+    assert (data.translate(None, digits) == SHARES_FILE.translate(None, digits)) is intact
+    assert outcome(ref.read_shares, data) == (error, message)
+    assert outcome(io_formats.read_shares, data) == (error, message)
+    shares_path = tmp_path / "faulty.shares"
+    shares_path.write_bytes(data)
+    code_path = str(DATA_DIR / "z4_8_4.code")
+    rc = cli.main(["recover", "--code", code_path, "--shares", str(shares_path)])
+    assert rc == 1
+    assert f"error: {error.__name__}: {message}" in capsys.readouterr().err.splitlines()
 
 
 def test_some_corruptions_name_the_bad_entry():

@@ -4,8 +4,9 @@ Four document kinds, conventionally named *.code, *.shares, *.secret
 and *.dealrec.  All are UTF-8 JSON with a fixed key order, two-space
 indentation and a trailing newline, so serialization is byte-stable:
 reading a document written here and writing it again reproduces the
-input exactly.  The writers lay the bytes out directly (see _dumps),
-and they equal json.dumps(document, indent=2) plus the newline.
+input exactly.  Each kind's bytes, json.dumps(document, indent=2) and
+the newline with %d for every number, are spelled once, as its layout
+(_code_layout and the three after it), which its writer fills.
 
 Schemas (format_version is always 1):
 
@@ -38,7 +39,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain
-from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -73,35 +73,62 @@ class ShareFile:
 # ---------------------------------------------------------------- writing
 
 
-def _dumps(value, indent: str = "\n") -> str:
-    """json.dumps(value, indent=2) byte for byte, without the pure-Python
-    encoder that indent selects; `indent` opens each line of this level.
-    Dicts with str keys and lists of containers recurse, a list of ints
-    is one %-format call, and any other value goes to json.dumps, which
-    raises as it would have."""
-    kind, inner = type(value), indent + "  "
-    if kind is int:
-        return repr(value)
-    if kind is str:
-        return _json_string(value)
-    if kind is dict and value and set(map(type, value)) == {str}:
-        items = [_json_string(k) + ": " + _dumps(v, inner) for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    types = set(map(type, value)) if kind is list else set()
-    if types == {int}:
-        row = "[" + inner + ("%d," + inner) * (len(value) - 1) + "%d" + indent + "]"
-        return row % tuple(value)
-    if types and types <= {dict, list}:
-        items = [_dumps(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    return json.dumps(value, indent=2).replace("\n", indent)
+def _array_layout(items: list[bytes], depth: int) -> bytes:
+    """A JSON array of laid-out items at nesting depth `depth`, or [];
+    one % into a frame of %s slots copies each item once."""
+    inner = b"\n" + b"  " * (depth + 1)
+    frame = b"[" + inner + (b"," + inner).join([b"%s"] * len(items)) + inner[:-2] + b"]"
+    return frame % tuple(items) if items else b"[]"
 
 
-def _write(target: Target, overwrite: bool, ring: RingSpec, **fields) -> None:
-    """Write one document: format_version and ring, then `fields` in
-    order, as two-space indented JSON with a trailing newline."""
-    document = {"format_version": FORMAT_VERSION, "ring": {"p": ring.p, "e": ring.e}}
-    data = (_dumps({**document, **fields}) + "\n").encode("utf-8")
+def _object_layout(depth: int, **fields: bytes) -> bytes:
+    """A JSON object of laid-out fields, in order, at nesting depth `depth`."""
+    frame = _array_layout([b'"%s": %%s' % key.encode() for key in fields], depth)
+    return b"{%s}" % frame[1:-1] % tuple(fields.values())
+
+
+def _document_layout(number: bytes, **fields: bytes) -> bytes:
+    """format_version, ring{p,e} and n, then `fields`, and a newline;
+    `number` stands for each number: %d, or nothing for the byte reader."""
+    ring = _object_layout(1, p=number, e=number)
+    return _object_layout(0, format_version=number, ring=ring, n=number, **fields) + b"\n"
+
+
+def _code_layout(n: int, k: int) -> bytes:
+    row = _array_layout([b"%d"] * n, 2)
+    G, H = _array_layout([row] * k, 1), _array_layout([row] * (n - k), 1)
+    return _document_layout(b"%d", k=b"%d", G=G, H=H)
+
+
+def _shares_layout(n: int, count: int, number: bytes = b"%d") -> bytes:
+    c = _array_layout([number] * (n if count else 0), 3)  # with no shares, n is unused
+    record = _object_layout(2, id=number, c=c, x=number, y=number)
+    return _document_layout(number, shares=_array_layout([record] * count, 1))
+
+
+def _secret_layout(n: int) -> bytes:
+    return _document_layout(b"%d", secret=_object_layout(1, s=_array_layout([b"%d"] * n, 2)))
+
+
+def _dealrec_layout(k: int, count: int) -> bytes:
+    record = _object_layout(3, id=b"%d", l=_array_layout([b"%d"] * k, 4))
+    deal = _object_layout(1, seed=b"%d", l=_array_layout([record] * count, 2))
+    return _document_layout(b"%d", k=b"%d", deal=deal)
+
+
+def _write(target: Target, overwrite: bool, layout: bytes, ring: RingSpec, head, rows) -> None:
+    """Fill layout with format_version, ring.p, ring.e, head and the
+    numbers of rows, in order, and write it.  First refuse rows of
+    unequal length, which would shift numbers into other fields, and,
+    by its field, a number not exactly an int: %d writes 1.5 as 1."""
+    if len(set(map(len, rows))) > 1:
+        raise ValidationError("rows of one document differ in length")
+    values = (FORMAT_VERSION, ring.p, ring.e, *head, *chain.from_iterable(rows))
+    if not set(map(type, values)) <= {int}:
+        i = next(i for i, v in enumerate(values) if type(v) is not int)
+        field = b"%d".join(layout.split(b"%d", i + 1)[:-1]).rsplit(b'"', 2)[1].decode()
+        raise TypeError(f"{field}: expected an integer, got {type(values[i]).__name__}")
+    data = layout % values
     if hasattr(target, "write"):
         target.write(data)
         return
@@ -110,29 +137,29 @@ def _write(target: Target, overwrite: bool, ring: RingSpec, **fields) -> None:
 
 
 def write_code(target: Target, code: LinearCode, *, overwrite: bool = False) -> None:
-    G, H = code.G.tolist(), code.H.tolist()
-    _write(target, overwrite, code.ring, n=code.n, k=code.k, G=G, H=H)
+    rows = [code.G.entries.ravel().tolist() + code.H.entries.ravel().tolist()]
+    _write(target, overwrite, _code_layout(code.n, code.k), code.ring, (code.n, code.k), rows)
 
 
 def write_shares(
     target: Target, share_file: ShareFile, *, overwrite: bool = False
 ) -> None:
-    shares = [
-        {"id": s.id, "c": s.c.tolist(), "x": s.x, "y": s.y} for s in share_file.shares
-    ]
-    _write(target, overwrite, share_file.ring, n=share_file.n, shares=shares)
+    rows = [(s.id, *s.c.tolist(), s.x, s.y) for s in share_file.shares]
+    layout = _shares_layout(share_file.n, len(rows))
+    _write(target, overwrite, layout, share_file.ring, (share_file.n,), rows)
 
 
 def write_secret(target: Target, secret: RVector, *, overwrite: bool = False) -> None:
-    _write(target, overwrite, secret.ring, n=len(secret), secret={"s": secret.tolist()})
+    n = len(secret)
+    _write(target, overwrite, _secret_layout(n), secret.ring, (n,), [secret.tolist()])
 
 
 def write_deal_record(
     target: Target, record: DealRecord, *, overwrite: bool = False
 ) -> None:
-    rows = [{"id": pid, "l": row.tolist()} for pid, row in record.coefficients]
-    deal = {"seed": record.seed, "l": rows}
-    _write(target, overwrite, record.ring, n=record.n, k=record.k, deal=deal)
+    rows = [(pid, *row.tolist()) for pid, row in record.coefficients]
+    head = (record.n, record.k, record.seed)
+    _write(target, overwrite, _dealrec_layout(record.k, len(rows)), record.ring, head, rows)
 
 
 # ---------------------------------------------------------------- parsing
@@ -329,11 +356,12 @@ def _canonical_share_columns(raw: bytes):
     and passing every check of the strict path; None for any other
     document, which the strict path then reads or refuses.
 
-    Without its digits, the document must equal the writer's layout for
-    its n and share count.  In that layout a number, and nothing else,
-    stands after a space and before a comma or a newline, which is
-    where _numbers finds every digit run; so a document that matches
-    has exactly one run in each number's place."""
+    Without its digits, the document must equal _shares_layout for its
+    n and share count, with an empty placeholder for each number.  In
+    that layout a number, and nothing else, stands after a space and
+    before a comma or a newline, which is where _numbers finds every
+    digit run; so a document that matches has exactly one run in each
+    number's place."""
     values = _numbers(raw)
     if values is None or values.size < 4:
         return None
@@ -341,16 +369,7 @@ def _canonical_share_columns(raw: bytes):
     if version != FORMAT_VERSION or n < 1 or (values.size - 4) % (n + 3):
         return None
     count = (values.size - 4) // (n + 3)
-    record = (  # repeated count times; with no shares, n may be of any size
-        b'\n    {\n      "id": ,\n      "c": [' + b"\n        ," * (n - 1) * (count > 0)
-        + b'\n        \n      ],\n      "x": ,\n      "y": \n    }'
-    )
-    layout = (
-        b'{\n  "format_version": ,\n  "ring": {\n    "p": ,\n    "e": \n  },\n  "n": ,\n'
-        b'  "shares": [' + b",".join([record] * count)
-        + (b"\n  ]\n}\n" if count else b"]\n}\n")
-    )
-    if raw.translate(None, b"0123456789") != layout:
+    if raw.translate(None, b"0123456789") != _shares_layout(n, count, number=b""):
         return None
     try:
         ring = make_ring(p, e)

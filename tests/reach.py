@@ -13,19 +13,21 @@ compiled from strings, so they are never among them.
 
 The report prints each function that nothing enters, with its reason
 from KEEP if it has one, and exits 1 if any of them has none: such a
-function is a candidate for deletion.  A name stays in KEEP only with
-a reason that holds whether or not an entry point reaches it.  It also
-exits 1 if an entry point exits non-zero.  With --runs it writes each
-entry point's exit status and standard output and error to FILE as
-JSON, keyed by its path and arguments, so that the tests of the demos
-and of the self-check read them instead of running each entry point
-again.
+function is a candidate for deletion.  KEEP names only functions that
+no entry point enters: the report also prints each KEEP name whose
+function an entry point does enter, and exits 1 on one, since its
+reason no longer explains anything.  It also exits 1 if an entry point
+exits non-zero.  With --runs it writes each entry point's exit status
+and standard output and error to FILE as JSON, keyed by its path and
+arguments, so that the tests of the demos and of the self-check read
+them instead of running each entry point again.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -41,24 +43,12 @@ SRC = ROOT / "src" / "lcdshare"
 DEMOS = tuple(sorted((ROOT / "demos").glob("*.py")))
 SELF_CHECK = (ROOT / "bench" / "run.py", "--self-check")
 
-_PINNED = (
-    "bench/spans.py LAYERS looks it up with getattr; "
-    "waits for ROADMAP item 6 or a benchmark change"
-)
-_INVERSE = (
-    "the elimination in tests/reference_recover.py inverts with ring.inverse, "
-    "and a test reference stays"
-)
-
 KEEP = {
-    "io_formats.read_shares": "public reader of a documented format",
     "io_formats.read_deal_record": "public reader of a documented format",
-    "scheme.deal_one": _PINNED,
-    "linalg.solve_unique": _PINNED,
-    "linalg.select_independent_rows": _PINNED,
-    "linalg.left_null_vector": _PINNED,
-    "linalg.unit_rank": _PINNED,
-    "codes.is_codeword": _PINNED,
+    "scheme.deal_one": (
+        "bench/spans.py LAYERS looks it up with getattr; "
+        "waits for ROADMAP item 6 or a benchmark change"
+    ),
     "cli.main_entry": "the console script in pyproject.toml",
     "scheme.verify_shares": (
         "the library's form of CLI verify's batched audit, and what the audit "
@@ -71,23 +61,29 @@ KEEP = {
     "linalg._RArray.__hash__": "frozen Share and DealRecord hash through their vectors",
     "linalg._RArray.__repr__": "diagnostics",
     "linalg.RVector.__getitem__": "part of the read protocol with __len__ and __iter__",
-    "ring.RingSpec.inverse": _INVERSE,
-    "ring.RingSpec.is_unit": _INVERSE,
 }
 
 
 def functions() -> dict[tuple[str, int, str], str]:
     """Every named function in src/lcdshare/, keyed by (file, first
-    line, name), valued by its module-qualified name."""
+    line, name), valued by its module-qualified name.  The qualified
+    name is built as the compiler builds co_qualname, which Python 3.10
+    lacks: a class body adds "Name.", a function "name.<locals>."."""
     found = {}
     for path in sorted(SRC.glob("*.py")):
-        stack = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+        stack = [(compile(path.read_text(encoding="utf-8"), str(path), "exec"), "")]
         while stack:
-            code = stack.pop()
-            stack += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+            code, prefix = stack.pop()
+            qualname = prefix + code.co_name
+            if code.co_name == "<module>":
+                inner = ""
+            else:
+                local = code.co_flags & inspect.CO_NEWLOCALS
+                inner = qualname + (".<locals>." if local else ".")
+            stack += [(c, inner) for c in code.co_consts if isinstance(c, types.CodeType)]
             if not code.co_name.startswith("<"):
                 key = (str(path), code.co_firstlineno, code.co_name)
-                found[key] = f"{path.stem}.{code.co_qualname}"
+                found[key] = f"{path.stem}.{qualname}"
     return found
 
 
@@ -170,10 +166,13 @@ def main(argv=None) -> int:
     print(f"{len(unentered)} functions in src/lcdshare/ never entered")
     for name, where in unentered:
         print(f"  {name} ({where}): {KEEP.get(name, 'NOT IN KEEP')}")
+    stale = [name for name in KEEP if name not in dict(unentered)]
+    for name in stale:
+        print(f"  {name} is in KEEP but an entry point enters it")
     failed = {label: run for label, run in runs.items() if run["exit"] != 0}
     for label, run in failed.items():
         print(f"{label} exited with {run['exit']}:\n{run['stderr']}")
-    return 0 if all(name in KEEP for name, _ in unentered) and not failed else 1
+    return 0 if all(name in KEEP for name, _ in unentered) and not stale and not failed else 1
 
 
 if __name__ == "__main__":

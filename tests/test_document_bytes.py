@@ -1,14 +1,15 @@
-"""The document encoder against json.dumps(indent=2).
+"""The writers against json.dumps(indent=2), and what they refuse.
 
-io_formats writes documents through its own encoder, _dumps, which must
-give the bytes json.dumps(document, indent=2) gives: on every document
-the four writers produce, and on any other JSON value, where it falls
-back to json.dumps and so also raises what json.dumps raises.
+Each writer fills its kind's layout, the document's bytes with %d for
+every number, so what it writes must be the bytes of
+json.dumps(document, indent=2) and a newline, for every kind, ring and
+shape, ids beyond int64 and empty lists among them.  A number that is
+not exactly an int (1.5 or True, which %d writes as 1, or a numpy
+integer) is refused, naming its field, before any file is created.
 """
 
 import io
 import json
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -26,10 +27,11 @@ from lcdshare import (
     write_secret,
     write_shares,
 )
-from lcdshare.io_formats import ShareFile, _dumps
+from lcdshare.errors import ValidationError
+from lcdshare.io_formats import ShareFile
 
 RINGS = [(2, 1), (2, 2), (2, 8), (65521, 1), (2**31 - 1, 1)]
-IDS = st.integers(1, 2**40)
+IDS = st.integers(1, 2**70)
 
 
 def written(write, obj):
@@ -85,53 +87,51 @@ def documents(draw):
 def test_writers_write_what_json_dumps_writes(case):
     data, document = case
     expected = json.dumps(document, indent=2)
-    assert _dumps(document) == expected
     assert data == (expected + "\n").encode("utf-8")
 
 
-SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
-KEYS = st.text() | st.integers() | st.booleans() | st.none() | st.floats()
-VALUES = st.recursive(
-    SCALARS,
-    lambda inner: (
-        st.lists(inner, max_size=4)
-        | st.lists(st.integers(), min_size=1, max_size=4)
-        | st.lists(inner, max_size=3).map(tuple)
-        | st.dictionaries(st.text(max_size=3), inner, max_size=4)
-        | st.dictionaries(KEYS, inner, max_size=3)
-    ),
-    max_leaves=24,
-)
+def test_a_shares_document_with_no_shares_lays_out_no_record():
+    """Its n, here too large for any list, leaves the bytes as they are."""
+    ring = make_ring(2, 2)
+    document = {**header(ring, 2**62), "shares": []}
+    data = written(write_shares, ShareFile(ring, 2**62, ()))
+    assert data == (json.dumps(document, indent=2) + "\n").encode("utf-8")
 
 
-@settings(max_examples=500, deadline=None)
-@given(VALUES)
-def test_any_json_value_encodes_as_json_dumps_does(value):
-    assert _dumps(value) == json.dumps(value, indent=2)
+def z4_share(**fields):
+    ring = make_ring(2, 2)
+    share = Share(**{"id": 1, "c": vector(ring, [1, 2, 3]), "x": 0, "y": 1, **fields})
+    return ShareFile(ring, 3, (share,))
 
 
-def test_dict_subclasses_and_str_subclass_keys_fall_back():
-    class Key(str):
-        pass
-
-    for value in [OrderedDict(a=[1, 2]), {Key("k"): [3]}, [{"a": []}, [[], {}]], [True, 1]]:
-        assert _dumps(value) == json.dumps(value, indent=2)
+def z4_record(seed):
+    ring = make_ring(2, 2)
+    return DealRecord(ring, 3, 2, seed, ((1, vector(ring, [1, 2])),))
 
 
 @pytest.mark.parametrize(
-    "value",
+    "write, obj, field",
     [
-        [np.int64(1)],
-        {"c": [1, np.int64(2)]},
-        [[1, 2], [np.int64(3)]],
-        {"a": {1, 2}},
-        {(1, 2): 1},
-        [{"x": object()}],
+        (write_shares, z4_share(x=1.5), "x"),
+        (write_shares, z4_share(x=True), "x"),
+        (write_shares, z4_share(id=np.int64(2)), "id"),
+        (write_deal_record, z4_record(1.5), "seed"),
     ],
+    ids=["float-x", "bool-x", "numpy-id", "float-seed"],
 )
-def test_values_json_cannot_encode_fail_as_in_json_dumps(value):
-    with pytest.raises(TypeError) as expected:
-        json.dumps(value, indent=2)
-    with pytest.raises(TypeError) as got:
-        _dumps(value)
-    assert str(got.value) == str(expected.value)
+def test_writers_refuse_numbers_that_are_not_ints(tmp_path, write, obj, field):
+    target = tmp_path / "document"
+    with pytest.raises(TypeError, match=f"^{field}: expected an integer"):
+        write(target, obj)
+    assert not target.exists()
+
+
+def test_writers_refuse_rows_of_unequal_length(tmp_path):
+    """Two wrong lengths that sum to the right count must not shift
+    numbers into other fields of an otherwise well-formed document."""
+    ring = make_ring(2, 2)
+    shares = (Share(1, vector(ring, [1, 2]), 0, 1), Share(2, vector(ring, [1, 2, 3, 0]), 0, 1))
+    target = tmp_path / "document"
+    with pytest.raises(ValidationError, match="differ in length"):
+        write_shares(target, ShareFile(ring, 3, shares))
+    assert not target.exists()

@@ -1,4 +1,5 @@
-"""The reachability report passes, and its KEEP table names live functions."""
+"""The reachability report passes, its KEEP table names live functions,
+and a KEEP name whose function an entry point enters fails the report."""
 
 import reach
 
@@ -11,3 +12,12 @@ def test_every_function_no_entry_point_enters_has_a_keep_reason(entry_point_runs
 def test_every_keep_entry_names_a_function_defined_in_src():
     defined = set(reach.functions().values())
     assert sorted(set(reach.KEEP) - defined) == []
+
+
+def test_a_keep_name_an_entry_point_enters_fails_the_report(monkeypatch, capsys):
+    unentered = [(name, "src/lcdshare/x.py:1") for name in reach.KEEP]
+    monkeypatch.setattr(reach, "never_entered", lambda entry_points: (unentered, {}))
+    assert reach.main([]) == 0
+    monkeypatch.setitem(reach.KEEP, "io_formats.write_shares", "a fake reason")
+    assert reach.main([]) == 1
+    assert "io_formats.write_shares is in KEEP but an entry point enters it" in capsys.readouterr().out

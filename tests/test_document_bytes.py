@@ -104,9 +104,9 @@ def z4_share(**fields):
     return ShareFile(ring, 3, (share,))
 
 
-def z4_record(seed):
+def z4_record(seed, pid=1):
     ring = make_ring(2, 2)
-    return DealRecord(ring, 3, 2, seed, ((1, vector(ring, [1, 2])),))
+    return DealRecord(ring, 3, 2, seed, ((pid, vector(ring, [1, 2])),))
 
 
 @pytest.mark.parametrize(
@@ -115,9 +115,12 @@ def z4_record(seed):
         (write_shares, z4_share(x=1.5), "x"),
         (write_shares, z4_share(x=True), "x"),
         (write_shares, z4_share(id=np.int64(2)), "id"),
+        (write_shares, z4_share(y=2.0), "y"),
         (write_deal_record, z4_record(1.5), "seed"),
+        (write_deal_record, z4_record(np.int64(7)), "seed"),
+        (write_deal_record, z4_record(7, pid=True), "id"),
     ],
-    ids=["float-x", "bool-x", "numpy-id", "float-seed"],
+    ids=["float-x", "bool-x", "numpy-id", "float-y", "float-seed", "numpy-seed", "bool-record-id"],
 )
 def test_writers_refuse_numbers_that_are_not_ints(tmp_path, write, obj, field):
     target = tmp_path / "document"

@@ -19,19 +19,19 @@ Residues are plain decimal integers.  Parsing is strict: unknown or
 missing fields, duplicate fields, or wrong JSON types raise ParseError;
 documents that parse but break a domain invariant (residue out of
 range, G H^T != 0, duplicate participant id, ...) raise ValidationError.
-Each check runs over a whole block of residue rows (_residue_block) or
-a whole list of participant records (_records) at once, and walks it
-entry by entry only to name the first fault of a block that fails.
-Writers refuse to replace an existing file unless overwrite is set.
+The strict reader checks each entry once, in one walk over its residue
+rows (_residue_block) or participant records (_records), and names only
+the first that fails.  Writers refuse to replace an existing file unless
+overwrite is set.
 
-A shares document laid out byte for byte as write_shares lays it out
-is read without a JSON parser (_canonical_share_columns): one
-comparison of its bytes without their digits against the writer's
-layout, one vectorised pass over its numbers, and the same checks as
-the strict reader on the resulting arrays.  Any other document that
-json parses gives identical results through the strict reader, and so
-does any document that fails a check: error messages always come from
-the strict reader.
+A code or shares document laid out byte for byte as its writer lays it
+out is read without a JSON parser (_canonical_numbers): one comparison
+of its bytes without their digits against the writer's layout, one
+vectorised pass over its numbers, and the strict reader's checks on the
+resulting arrays.  Any other document that json parses gives identical
+results through the strict reader, and so does any document that fails
+a check: error messages come from the strict reader, or from the one
+LinearCode validation that either path's arrays go through.
 """
 
 from __future__ import annotations
@@ -57,6 +57,8 @@ Target = Union[str, Path, object]
 
 _TYPE_NAMES = {int: "an integer", dict: "an object", list: "an array"}
 _LENGTH = "{row} has length {got}, expected n={width}"
+_C_LENGTH = "shares[{i}]: c has length {got}, expected n={width}"
+_L_LENGTH = "{row} has length {got}, expected k={width}"
 
 
 @dataclass(frozen=True)
@@ -94,10 +96,10 @@ def _document_layout(number: bytes, **fields: bytes) -> bytes:
     return _object_layout(0, format_version=number, ring=ring, n=number, **fields) + b"\n"
 
 
-def _code_layout(n: int, k: int) -> bytes:
-    row = _array_layout([b"%d"] * n, 2)
+def _code_layout(n: int, k: int, number: bytes = b"%d") -> bytes:
+    row = _array_layout([number] * n, 2)
     G, H = _array_layout([row] * k, 1), _array_layout([row] * (n - k), 1)
-    return _document_layout(b"%d", k=b"%d", G=G, H=H)
+    return _document_layout(number, k=number, G=G, H=H)
 
 
 def _shares_layout(n: int, count: int, number: bytes = b"%d") -> bytes:
@@ -116,13 +118,23 @@ def _dealrec_layout(k: int, count: int) -> bytes:
     return _document_layout(b"%d", k=b"%d", deal=deal)
 
 
+def _check_words(words, ring: RingSpec, width: int, row: str, length: str) -> None:
+    """Refuse, with its reader's `length` message, a word of another length
+    than width, and a word over another ring than the document's, which
+    would read back over it; word i is row.format(i=i).  Ring identity is
+    tested before equality, which would cost each word a comparison."""
+    for i, word in enumerate(words):
+        if (word.ring is not ring and word.ring != ring) or len(word) != width:
+            name = row.format(i=i)
+            if len(word) != width:
+                raise ValidationError(length.format(row=name, i=i, got=len(word), width=width))
+            raise ValidationError(f"{name} is over {word.ring}, the document's ring is {ring}")
+
+
 def _write(target: Target, overwrite: bool, layout: bytes, ring: RingSpec, head, rows) -> None:
     """Fill layout with format_version, ring.p, ring.e, head and the
-    numbers of rows, in order, and write it.  First refuse rows of
-    unequal length, which would shift numbers into other fields, and,
-    by its field, a number not exactly an int: %d writes 1.5 as 1."""
-    if len(set(map(len, rows))) > 1:
-        raise ValidationError("rows of one document differ in length")
+    numbers of rows, in order, and write it.  First refuse, by its field,
+    a number not exactly an int: %d writes 1.5 as 1."""
     values = (FORMAT_VERSION, ring.p, ring.e, *head, *chain.from_iterable(rows))
     if not set(map(type, values)) <= {int}:
         i = next(i for i, v in enumerate(values) if type(v) is not int)
@@ -144,9 +156,10 @@ def write_code(target: Target, code: LinearCode, *, overwrite: bool = False) -> 
 def write_shares(
     target: Target, share_file: ShareFile, *, overwrite: bool = False
 ) -> None:
+    ring, n = share_file.ring, share_file.n
+    _check_words([s.c for s in share_file.shares], ring, n, "shares[{i}].c", _C_LENGTH)
     rows = [(s.id, *s.c.tolist(), s.x, s.y) for s in share_file.shares]
-    layout = _shares_layout(share_file.n, len(rows))
-    _write(target, overwrite, layout, share_file.ring, (share_file.n,), rows)
+    _write(target, overwrite, _shares_layout(n, len(rows)), ring, (n,), rows)
 
 
 def write_secret(target: Target, secret: RVector, *, overwrite: bool = False) -> None:
@@ -157,6 +170,8 @@ def write_secret(target: Target, secret: RVector, *, overwrite: bool = False) ->
 def write_deal_record(
     target: Target, record: DealRecord, *, overwrite: bool = False
 ) -> None:
+    words = [row for _, row in record.coefficients]
+    _check_words(words, record.ring, record.k, "deal.l[{i}].l", _L_LENGTH)
     rows = [(pid, *row.tolist()) for pid, row in record.coefficients]
     head = (record.n, record.k, record.seed)
     _write(target, overwrite, _dealrec_layout(record.k, len(rows)), record.ring, head, rows)
@@ -173,13 +188,11 @@ def _read_bytes(source: Target) -> bytes:
 
 
 def _reject_duplicate_keys(pairs):
-    document = dict(pairs)
-    if len(document) != len(pairs):
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise ParseError(f"duplicate field {key!r}")
-            seen.add(key)
+    document = {}
+    for key, value in pairs:
+        if key in document:
+            raise ParseError(f"duplicate field {key!r}")
+        document[key] = value
     return document
 
 
@@ -238,87 +251,66 @@ def _document(raw: bytes, kind: str, *fields: str) -> tuple[dict, RingSpec, int]
     return document, ring, n
 
 
-def _int_rows(rows: list, row: str) -> None:
-    """Every row an array and every entry an integer, not a bool; row i
-    is named row.format(i=i), e.g. "G[{i}]"."""
-    if set(map(type, rows)) <= {list} and set(
-        map(type, chain.from_iterable(rows))
-    ) <= {int}:
-        return
-    for i, values in enumerate(rows):
-        _expect(values, list, row.format(i=i))
-        for j, v in enumerate(values):
-            _expect(v, int, f"{row.format(i=i)}[{j}]")
-
-
 def _residue_block(rows: list, width: int, m: int, row: str, length: str = _LENGTH):
     """The one validator of residue rows: each an array of `width`
-    integers in 0..m-1.  Returns them as one int64 array of shape
-    (len(rows), width), also when rows is empty.
-
-    Each check is one pass over the whole block: a set of entry types,
-    a set of row lengths, one array and its min and max.  Only a block
-    that fails is walked entry by entry, to name the first bad entry in
-    the order a per-entry reader meets it: all types first, then row by
-    row its length and its range.  `length` formats the wrong-length
-    message from row, i, got and width.
-    """
-    _int_rows(rows, row)
-    if set(map(len, rows)) <= {width}:
-        try:
-            block = np.array(rows, dtype=np.int64).reshape(len(rows), width)
-            if not block.size or (block.min() >= 0 and block.max() < m):
-                return block
-        except OverflowError:
-            pass  # an entry beyond int64, named below as out of range
+    integers in 0..m-1, checked in one walk, row by row and entry by
+    entry; row i is named row.format(i=i), and `length` formats the
+    wrong-length message from row, i, got and width.  Returns one int64
+    array of shape (len(rows), width), also when rows is empty."""
     for i, values in enumerate(rows):
-        name = row.format(i=i)
-        if len(values) != width:
-            raise ValidationError(
-                length.format(row=name, i=i, got=len(values), width=width)
-            )
+        if type(values) is not list or len(values) != width:
+            name = row.format(i=i)
+            _expect(values, list, name)
+            raise ValidationError(length.format(row=name, i=i, got=len(values), width=width))
         for j, v in enumerate(values):
-            if not 0 <= v < m:
-                raise ValidationError(
-                    f"{name}[{j}]: residue {v} out of range 0..{m - 1}"
-                )
-    raise AssertionError("a block that fails a check has a first bad entry")
+            if type(v) is not int or not 0 <= v < m:
+                where = f"{row.format(i=i)}[{j}]"
+                _expect(v, int, where)
+                raise ValidationError(f"{where}: residue {v} out of range 0..{m - 1}")
+    try:
+        return np.array(rows, dtype=np.int64).reshape(len(rows), width)
+    except ValueError:  # no rows, and a width numpy cannot shape: n = 2^64 with no shares
+        return np.empty((0, 0), np.int64)
 
 
 def _records(entries: list, where: str, fields: Sequence[str], low_id: str) -> list[int]:
     """The ids of a list of participant records, each an object with
     exactly `fields`, an integer id >= 1 among them, and no id twice.
     `low_id` formats the message for an id below 1 from where and pid."""
-    keys = set(fields)
-    whole = set(map(type, entries)) <= {dict} and all(obj.keys() == keys for obj in entries)
-    ids = [obj["id"] for obj in entries] if whole else []
-    if not (whole and set(map(type, ids)) <= {int} and min(ids, default=1) >= 1):
-        for i, obj in enumerate(entries):
+    keys, ids = set(fields), {}  # ids in order, as the keys of a dict
+    for i, obj in enumerate(entries):
+        pid = obj.get("id") if type(obj) is dict else None
+        if type(pid) is not int or pid < 1 or obj.keys() != keys:
             name = f"{where}[{i}]"
             pid = _expect(_object(obj, fields, name)["id"], int, f"{name}.id")
-            if pid < 1:
-                raise ValidationError(low_id.format(where=name, pid=pid))
-        raise AssertionError("a list that fails a check has a first bad record")
-    if len(set(ids)) != len(ids):
-        seen: set[int] = set()
-        first = next(pid for pid in ids if pid in seen or seen.add(pid))
-        raise ValidationError(f"duplicate participant id {first}")
-    return ids
+            raise ValidationError(low_id.format(where=name, pid=pid))
+        if pid in ids:
+            raise ValidationError(f"duplicate participant id {pid}")
+        ids[pid] = None
+    return list(ids)
 
 
-def read_code(source: Target) -> LinearCode:
-    document, ring, n = _document(_read_bytes(source), "code document", "k", "G", "H")
+def _json_code(raw: bytes):
+    """The ring, n, k, G and H of any code document that json parses; the
+    one reader that names the fault of one it refuses."""
+    document, ring, n = _document(raw, "code document", "k", "G", "H")
     k = _expect(document["k"], int, "code document.k")
-    g_rows = _expect(document["G"], list, "G")
-    _int_rows(g_rows, "G[{i}]")
-    h_rows = _expect(document["H"], list, "H")
-    _int_rows(h_rows, "H[{i}]")
+    g_rows, h_rows = _expect(document["G"], list, "G"), _expect(document["H"], list, "H")
+    for name, rows in (("G", g_rows), ("H", h_rows)):  # a non-array row changes the counts
+        for i, values in enumerate(rows):
+            if type(values) is not list:
+                _expect(values, list, f"{name}[{i}]")
     if len(g_rows) != k:
         raise ValidationError(f"G has {len(g_rows)} rows, expected k={k}")
     if len(h_rows) != n - k:
         raise ValidationError(f"H has {len(h_rows)} rows, expected n-k={n - k}")
     G = _residue_block(g_rows, n, ring.m, "G[{i}]")
-    H = _residue_block(h_rows, n, ring.m, "H[{i}]")
+    return ring, n, k, G, _residue_block(h_rows, n, ring.m, "H[{i}]")
+
+
+def read_code(source: Target) -> LinearCode:
+    raw = _read_bytes(source)
+    ring, n, k, G, H = _canonical_code(raw) or _json_code(raw)
     return LinearCode(ring=ring, n=n, k=k, G=RMatrix(ring, G), H=RMatrix(ring, H))
 
 
@@ -350,70 +342,79 @@ def _numbers(raw: bytes):
     return values
 
 
-def _canonical_share_columns(raw: bytes):
-    """What _share_columns returns, read without a JSON parser from a
-    shares document laid out byte for byte as write_shares lays it out
-    and passing every check of the strict path; None for any other
-    document, which the strict path then reads or refuses.
+def _canonical_numbers(raw: bytes, head: int, layout):
+    """The ring, the head's numbers from n on, and every later number as
+    one int64 array, from a document laid out byte for byte as its writer
+    lays it out; None for any other, which the strict reader then reads.
 
-    Without its digits, the document must equal _shares_layout for its
-    n and share count, with an empty placeholder for each number.  In
-    that layout a number, and nothing else, stands after a space and
-    before a comma or a newline, which is where _numbers finds every
-    digit run; so a document that matches has exactly one run in each
-    number's place."""
+    head counts the numbers before the first array: format_version, p,
+    e, n and a code's k.  layout(n, ..., found) is the kind's layout, with
+    an empty placeholder per number, for that head and `found` numbers
+    after it, or None if none holds them, decided in Python ints before
+    any is built.  There a number, and nothing else, stands after a space
+    and before a comma or a newline, where _numbers finds every digit
+    run, so a document equal to it without digits has one run per number."""
     values = _numbers(raw)
-    if values is None or values.size < 4:
+    if values is None or values.size < head:
         return None
-    version, p, e, n = values[:4].tolist()
-    if version != FORMAT_VERSION or n < 1 or (values.size - 4) % (n + 3):
-        return None
-    count = (values.size - 4) // (n + 3)
-    if raw.translate(None, b"0123456789") != _shares_layout(n, count, number=b""):
+    version, p, e, n, *rest = values[:head].tolist()
+    expected = version == FORMAT_VERSION and n >= 1 and layout(n, *rest, values.size - head)
+    if not expected or raw.translate(None, b"0123456789") != expected:
         return None
     try:
-        ring = make_ring(p, e)
+        return make_ring(p, e), n, *rest, values[head:]
     except LcdshareError:
         return None
-    block = values[4:].reshape(count, n + 3)  # a row per share: id, c, x, y
-    ids, words, x, y = block[:, 0], block[:, 1:-2], block[:, -2], block[:, -1]
-    if count and (
-        ids.min() < 1 or block[:, 1:].max() >= ring.m or np.unique(ids).size < count
-    ):
+
+
+def _canonical_code(raw: bytes):
+    """What _json_code returns, from a code document _canonical_numbers
+    reads whose residues are in range; None for any other."""
+    read = _canonical_numbers(raw, 5, lambda n, k, found: (
+        _code_layout(n, k, b"") if found == n * n and k <= n else None
+    ))
+    if read is None or read[-1].max() >= read[0].m:
         return None
-    return ring, n, ids.tolist(), words.copy(), x.tolist(), y.tolist()
+    ring, n, k, values = read
+    return ring, n, k, *np.split(values.reshape(n, n), [k])
+
+
+def _canonical_share_columns(raw: bytes):
+    """What _json_share_columns returns, from a shares document
+    _canonical_numbers reads that passes the same checks; None for any
+    other."""
+    read = _canonical_numbers(raw, 4, lambda n, found: (
+        None if found % (n + 3) else _shares_layout(n, found // (n + 3), b"")
+    ))
+    if read is None:
+        return None
+    ring, n, values = read
+    block = values.reshape(-1, n + 3)  # a row per share: id, c, x, y
+    ids = np.unique(block[:, 0])
+    if len(block) and (ids[0] < 1 or ids.size < len(block) or block[:, 1:].max() >= ring.m):
+        return None
+    x, y = block[:, -2].tolist(), block[:, -1].tolist()
+    return ring, n, block[:, 0].tolist(), block[:, 1:-2].copy(), x, y
 
 
 def _json_share_columns(raw: bytes):
     """What _share_columns returns, from any shares document that json
-    parses, and the one reader that names the fault of one it refuses.
-
-    Past _records and _residue_block, the x and y values are checked
-    by one set of types and their least and greatest value, and only a
-    failing check walks the shares to name the first bad one."""
+    parses, and the one reader that names the fault of one it refuses."""
     document, ring, n = _document(raw, "shares document", "shares")
     entries = _expect(document["shares"], list, "shares")
     ids = _records(
         entries, "shares", ("id", "c", "x", "y"),
         "{where}: participant id must be >= 1, got {pid}",
     )
-    words = _residue_block(
-        [obj["c"] for obj in entries], n, ring.m, "shares[{i}].c",
-        "shares[{i}]: c has length {got}, expected n={width}",
-    )
-    xs, ys = [obj["x"] for obj in entries], [obj["y"] for obj in entries]
-    xy = xs + ys
-    if not (
-        set(map(type, xy)) <= {int} and 0 <= min(xy, default=0) and max(xy, default=0) < ring.m
-    ):
-        for i, obj in enumerate(entries):
-            pair = [_expect(obj[key], int, f"shares[{i}].{key}") for key in ("x", "y")]
-            for key, v in zip("xy", pair):
-                if not 0 <= v < ring.m:
-                    raise ValidationError(
-                        f"shares[{i}].{key}[0]: residue {v} out of range 0..{ring.m - 1}"
-                    )
-    return ring, n, ids, words, xs, ys
+    words = _residue_block([obj["c"] for obj in entries], n, ring.m, "shares[{i}].c", _C_LENGTH)
+    for i, obj in enumerate(entries):
+        for key in ("x", "y"):
+            v = obj[key]
+            if type(v) is not int or not 0 <= v < ring.m:
+                where = f"shares[{i}].{key}"
+                _expect(v, int, where)
+                raise ValidationError(f"{where}[0]: residue {v} out of range 0..{ring.m - 1}")
+    return ring, n, ids, words, [obj["x"] for obj in entries], [obj["y"] for obj in entries]
 
 
 def _share_columns(source: Target):
@@ -458,9 +459,6 @@ def read_deal_record(source: Target) -> DealRecord:
         raise ValidationError(f"deal.{exc}") from None
     entries = _expect(deal_obj["l"], list, "deal.l")
     ids = _records(entries, "deal.l", ("id", "l"), "{where}: participant id must be >= 1")
-    rows = _residue_block(
-        [obj["l"] for obj in entries], k, ring.m, "deal.l[{i}].l",
-        "{row} has length {got}, expected k={width}",
-    )
+    rows = _residue_block([obj["l"] for obj in entries], k, ring.m, "deal.l[{i}].l", _L_LENGTH)
     coefficients = tuple((pid, RVector(ring, row)) for pid, row in zip(ids, rows))
     return DealRecord(ring=ring, n=n, k=k, seed=seed, coefficients=coefficients)

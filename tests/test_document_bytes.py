@@ -5,7 +5,8 @@ every number, so what it writes must be the bytes of
 json.dumps(document, indent=2) and a newline, for every kind, ring and
 shape, ids beyond int64 and empty lists among them.  A number that is
 not exactly an int (1.5 or True, which %d writes as 1, or a numpy
-integer) is refused, naming its field, before any file is created.
+integer) is refused, naming its field, before any file is created; so
+is a word of the wrong length, or over another ring than the document's.
 """
 
 import io
@@ -129,12 +130,43 @@ def test_writers_refuse_numbers_that_are_not_ints(tmp_path, write, obj, field):
     assert not target.exists()
 
 
-def test_writers_refuse_rows_of_unequal_length(tmp_path):
-    """Two wrong lengths that sum to the right count must not shift
-    numbers into other fields of an otherwise well-formed document."""
-    ring = make_ring(2, 2)
-    shares = (Share(1, vector(ring, [1, 2]), 0, 1), Share(2, vector(ring, [1, 2, 3, 0]), 0, 1))
+Z2, Z4, Z8 = make_ring(2, 1), make_ring(2, 2), make_ring(2, 3)
+
+
+def z4_shares(*words):
+    """A Z_4 shares document of length 3; its ring is equal to Z4 but
+    not the same object."""
+    return ShareFile(make_ring(2, 2), 3, tuple(Share(i + 1, w, 0, 1) for i, w in enumerate(words)))
+
+
+def z4_rows(*rows):
+    return DealRecord(make_ring(2, 2), 4, 3, 7, tuple((i + 1, row) for i, row in enumerate(rows)))
+
+
+@pytest.mark.parametrize(
+    "write, obj, message",
+    [
+        (write_shares, z4_shares(vector(Z4, [1, 2])), "shares[0]: c has length 2, expected n=3"),
+        # two wrong lengths that sum to the right count must not shift numbers into other fields
+        (write_shares, z4_shares(vector(Z4, [1, 2]), vector(Z4, [1, 2, 3, 0])),
+         "shares[0]: c has length 2, expected n=3"),
+        (write_deal_record, z4_rows(vector(Z4, [1, 2])), "deal.l[0].l has length 2, expected k=3"),
+        (write_shares, z4_shares(vector(Z2, [1, 0, 1])),
+         "shares[0].c is over Z_2, the document's ring is Z_4"),
+        (write_shares, z4_shares(vector(Z4, [1, 2, 3]), vector(Z8, [7, 0, 1])),
+         "shares[1].c is over Z_8, the document's ring is Z_4"),
+        (write_deal_record, z4_rows(vector(Z4, [1, 2, 3]), vector(Z2, [1, 0, 1])),
+         "deal.l[1].l is over Z_2, the document's ring is Z_4"),
+    ],
+    ids=["short-c", "unequal-c", "short-l", "c-over-z2", "second-c-over-z8", "l-over-z2"],
+)
+def test_writers_refuse_words_their_readers_would_misread(tmp_path, write, obj, message):
+    """A word of the wrong length is refused with its reader's class and
+    message, and a word over another ring, which a reader would read back
+    over the document's ring, by a ValidationError naming it; both before
+    any file exists."""
     target = tmp_path / "document"
-    with pytest.raises(ValidationError, match="differ in length"):
-        write_shares(target, ShareFile(ring, 3, shares))
+    with pytest.raises(ValidationError) as err:
+        write(target, obj)
+    assert str(err.value) == message
     assert not target.exists()

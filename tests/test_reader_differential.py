@@ -1,21 +1,24 @@
-"""The bulk document readers against the per-element reference readers.
+"""The document readers against the per-element reference readers.
 
 Every valid document, and every document corrupted in one field, must
 give the same outcome from both: an equal object, or the same error
 class and message.  A document with several faults must be refused by
-both, but they may name different faults: the bulk readers check a
-whole block before they walk it, so they can meet a later fault first.
-Corrupted documents may only raise ParseError or ValidationError.
+both, but they may name different faults: the strict readers walk a
+document in another order than the reference, checking one kind of
+field across all records before the next (every participant id, then
+every codeword, then every x and y), so they can meet a later fault
+first.  Corrupted documents may only raise ParseError or ValidationError.
 
-A shares document laid out exactly as write_shares lays it out is read
-by a byte-level reader; every other one, and every one that fails a
-check, by the strict JSON reader.  So the byte-level reader must either
-decline a document or return exactly the strict reader's columns.
+A code or shares document laid out exactly as its writer lays it out
+is read by a byte-level reader; every other one, and every one that
+fails a check, by the strict JSON reader.  So the byte-level reader must
+either decline a document or return exactly the strict reader's arrays.
 """
 
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,20 +73,33 @@ def assert_same_outcome(kind: str, data: bytes):
     return new
 
 
+# kind: (the byte-level reader, the strict reader it stands in for)
+FAST_READERS = {
+    "code": (io_formats._canonical_code, io_formats._json_code),
+    "shares": (io_formats._canonical_share_columns, io_formats._json_share_columns),
+}
+
+
 def _columns(columns):
-    """Share columns in a form that == compares in full: the int64
+    """A reader's result in a form that == compares in full: each int64
     block's dtype, shape and entries, and the type of every number."""
-    ring, n, ids, words, xs, ys = columns
-    numbers = [n, *ids, *xs, *ys]
-    return ring, numbers, list(map(type, numbers)), words.dtype, words.shape, words.tolist()
+    return [
+        (c.dtype, c.shape, c.tolist()) if isinstance(c, np.ndarray)
+        else (c, list(map(type, c))) if isinstance(c, list)
+        else (c, type(c))
+        for c in columns
+    ]
 
 
-def assert_fast_reader_agrees(data: bytes):
-    """The byte-level shares reader declines data, or returns exactly
-    the strict reader's columns for it."""
-    fast = io_formats._canonical_share_columns(data)
-    if fast is not None:
-        assert _columns(fast) == _columns(io_formats._json_share_columns(data))
+def assert_fast_reader_agrees(kind: str, data: bytes):
+    """The byte-level reader of kind, if it has one, declines data or
+    returns exactly the strict reader's arrays for it, and so a code or
+    share columns equal to the strict path's."""
+    if kind in FAST_READERS:
+        fast, strict = FAST_READERS[kind]
+        read = fast(data)
+        if read is not None:
+            assert _columns(read) == _columns(strict(data))
 
 
 def laid_out(document) -> bytes:
@@ -93,7 +109,8 @@ def laid_out(document) -> bytes:
 
 def _generated_documents():
     """(kind, bytes) for a dealt code over each ring, beside the files
-    under tests/data."""
+    under tests/data, and the edge layouts: a k = n code, whose H is
+    empty, an n = 1 code, and a shares document with no shares."""
     for p, e in RINGS[1:]:
         ring = make_ring(p, e)
         code = random_lcd_code(ring, 6, 4, seed=11)
@@ -103,6 +120,9 @@ def _generated_documents():
         yield "secret", written(write_secret, secret)
         yield "shares", written(write_shares, ShareFile(ring, 6, tuple(shares)))
         yield "dealrec", written(write_deal_record, record)
+        yield "code", written(write_code, random_code(ring, 4, 4, seed=5))
+        yield "code", written(write_code, random_code(ring, 1, 1, seed=6))
+        yield "shares", written(write_shares, ShareFile(ring, 6, ()))
 
 
 CORPUS = [
@@ -153,7 +173,7 @@ def valid_documents(draw):
 def test_valid_documents_decode_to_the_reference_objects(document):
     kind, data = document
     assert assert_same_outcome(kind, data)[0] == "ok"
-    assert_fast_reader_agrees(data)
+    assert_fast_reader_agrees(kind, data)
 
 
 # ------------------------------------------------- one-field corruptions
@@ -278,13 +298,13 @@ def test_one_field_corruptions_fail_as_the_reference_fails(document, data):
     kind, raw = document
     bad = corrupted(raw, data.draw)
     assert_same_outcome(kind, bad)
-    assert_fast_reader_agrees(bad)
+    assert_fast_reader_agrees(kind, bad)
     try:  # the same corruption in the writers' layout, where the byte-level reader looks
         bad = laid_out(json.loads(bad))
     except ValueError:
         return
     assert_same_outcome(kind, bad)
-    assert_fast_reader_agrees(bad)
+    assert_fast_reader_agrees(kind, bad)
 
 
 def test_the_fast_reader_accepts_every_written_shares_document():
@@ -303,6 +323,43 @@ def test_the_fast_reader_accepts_every_written_shares_document():
         assert fast is not None
         assert _columns(fast) == _columns(io_formats._json_share_columns(data))
     assert len(fast[2]) == 1000
+
+
+def test_the_fast_reader_accepts_every_written_code_document(monkeypatch):
+    """Every code document the writer lays out, over every ring and
+    shape of the corpus and one [64, 40] code over Z_65521, is read
+    without the JSON parser."""
+    ring = make_ring(65521, 1)
+    documents = [data for kind, data in CORPUS if kind == "code"] + [
+        written(write_code, random_lcd_code(ring, 64, 40, seed=3))
+    ]
+
+    def refuse(raw):
+        raise AssertionError("a canonical code document reached the JSON parser")
+
+    monkeypatch.setattr(io_formats, "_parse", refuse)
+    for data in documents:
+        assert io_formats.read_code(io.BytesIO(data)) == ref.read_code(io.BytesIO(data))
+
+
+def test_a_code_head_is_counted_before_any_layout_is_built(monkeypatch):
+    """A head that says n = 10^9, followed by five numbers, asks for
+    10^18 residues; the byte-level reader declines it from the count
+    alone, and the strict reader refuses it."""
+    document = {
+        "format_version": 1, "ring": {"p": 2, "e": 1}, "n": 10**9, "k": 1,
+        "G": [[1, 0, 1, 1, 0]], "H": [],
+    }
+    data = laid_out(document)
+
+    def refuse(*args):
+        raise AssertionError("_code_layout was called")
+
+    monkeypatch.setattr(io_formats, "_code_layout", refuse)
+    assert io_formats._canonical_code(data) is None
+    assert outcome(io_formats.read_code, data) == (
+        ValidationError, f"H has 0 rows, expected n-k={10**9 - 1}"
+    )
 
 
 # ------------------------------------ faults in the writers' shares layout
@@ -382,7 +439,18 @@ def test_ids_beyond_int64_read_as_the_reference_reads_them():
     document["shares"][1]["id"] = 2**64 + 11
     data = laid_out(document)
     assert assert_same_outcome("shares", data)[0] == "ok"
-    assert_fast_reader_agrees(data)
+    assert_fast_reader_agrees("shares", data)
+
+
+@pytest.mark.parametrize("width", [2**60, 2**64])
+def test_empty_lists_of_any_width_read_as_the_reference_reads_them(width):
+    """No shares, or no dealt rows, under an n or k beyond what numpy
+    can shape: nothing is stored, and both readers return the header."""
+    head = {"format_version": 1, "ring": {"p": 2, "e": 2}, "n": width}
+    shares = laid_out({**head, "shares": []})
+    record = laid_out({**head, "k": width, "deal": {"seed": 1, "l": []}})
+    assert assert_same_outcome("shares", shares)[0] == "ok"
+    assert assert_same_outcome("dealrec", record)[0] == "ok"
 
 
 @pytest.mark.parametrize("fault", SKELETON_FAULTS)
@@ -444,9 +512,9 @@ def test_some_corruptions_name_the_bad_entry():
 
 
 def test_a_document_with_two_faults_is_refused_by_both_readers():
-    """Both refuse it, but not with the same message: the bulk reader
-    checks every codeword's length before any x, so it names share 1
-    where the reference, reading share by share, names share 0."""
+    """Both refuse it, but not with the same message: the strict reader
+    checks every codeword before any x, so it names share 1 where the
+    reference, reading share by share, names share 0."""
     shares = json.loads((DATA_DIR / "z4_8_4.shares").read_bytes())
     shares["shares"][0]["x"] = 9
     shares["shares"][1]["c"] = [0, 1]

@@ -48,7 +48,9 @@ class LinearCode:
     Validation runs on construction: shape and ring consistency,
     1 <= k <= n, full row rank of G and H, and G H^T = 0.  For k = n
     the parity check matrix is the empty 0 x n matrix and the dual
-    code is {0}.
+    code is {0}.  Validation runs the Gram walk behind gram_inverse,
+    whose success proves H full row rank, so H's rank is walked apart
+    only for a code that is not LCD.
 
     G^+, Q = (H H^T)^{-1}, the LCD verdict, M^{-1}, the dual map and the
     audit block are cached on first use; they cannot go stale, as the
@@ -88,7 +90,8 @@ class LinearCode:
             inverts = False
         if not inverts:
             raise ValidationError("G is not full row rank")
-        if not is_full_row_rank(self.H):
+        # an invertible H H^T gives H the right inverse H^T (H H^T)^{-1}
+        if self.gram_inverse is None and not is_full_row_rank(self.H):
             raise ValidationError("H is not full row rank")
         syndromes = self.G @ self.H.T
         if syndromes.entries.any():

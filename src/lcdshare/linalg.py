@@ -17,9 +17,15 @@ residue form, and they multiply; elementwise work is done on .entries
 and reduced mod m by the caller.  Every product, on ring arrays and raw
 blocks alike, goes through one kernel, _mod_matmul, which takes 1-D
 and 2-D operands and shapes its result as numpy's `@` does: a vector
-is a row on the left and a column on the right.  It reduces in chunks
-sized so that no intermediate ever exceeds the int64 range, which
-keeps every operation exact for any modulus up to 2**31 - 1.
+is a row on the left and a column on the right.  It accumulates in
+chunks sized so that no intermediate ever exceeds the int64 range,
+which keeps every operation exact for any modulus up to 2**31 - 1.
+
+The row walk and the ring arrays reduce into [0, m), and test units
+mod p, with the ufunc _reducer picks from m: a mask with m - 1 for a
+power of two, exact on every int64 in two's complement, and otherwise
+a remainder.  _mod_matmul keeps `%`, as its results are too small for
+the mask to repay the call that chooses it.
 
 All elimination is one routine, _pick_and_solve, with a fixed pivot
 policy for reproducibility: walk the rows in order, take each row that
@@ -49,6 +55,12 @@ from .ring import RingSpec
 _INT64_MAX = 2**63 - 1
 
 
+def _reducer(m: int) -> tuple[np.ufunc, int]:
+    """(ufunc, operand) with ufunc(arr, operand[, out=]) equal to
+    arr mod m in [0, m) for any int64 arr; see the module docstring."""
+    return (np.remainder, m) if m & (m - 1) else (np.bitwise_and, m - 1)
+
+
 def _mod_matmul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     """Exact (a @ b) % m for 1-D or 2-D int64 arrays with entries in
     [0, m), m >= 2, shaped as a @ b is (a 0-D result for two vectors).
@@ -76,7 +88,8 @@ class _RArray:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=np.int64) % self.ring.m
+        reduce, operand = _reducer(self.ring.m)
+        arr = reduce(np.asarray(self.entries, dtype=np.int64), operand)
         if arr.ndim != self._NDIM:
             raise DimensionMismatch(
                 f"{self._KIND} must be {self._NDIM}-D, got shape {arr.shape}"
@@ -201,25 +214,29 @@ def stack_rows(parts: Sequence[Union[RVector, RMatrix]]) -> RMatrix:
 
 def _pick_and_solve(ring: RingSpec, a: np.ndarray, b: np.ndarray, count: int):
     """Pick the first `count` rows of a that raise its unit rank, and
-    solve the picked rows of a @ x = b, for count = a.shape[1].
+    solve the picked rows of a @ x = b.
 
-    b is a block of right-hand sides, one column per system, and may
-    have width 0.  Walks the rows of [a | b] in order and keeps the
-    picked ones as a reduced echelon basis.  Each new row is reduced
-    against the basis with one product; a unit entry left in its `a`
-    part means the row raises the unit rank, so it is picked, its first
-    unit column becomes its pivot, and that column is cleared out of
-    the basis rows.  Once all `count` columns are pivots the `b` part
-    of the basis holds x.
+    count is how many picks the caller wants: a.shape[1] to solve, as
+    solve_unique, right_inverse, the Gram inverse and recover do,
+    min(a.shape) for a rank, and up to a.shape[0] for
+    select_independent_rows and left_null_vector.  b is a block of
+    right-hand sides, one column per system; it and a may have width 0.
+    Walks the rows of [a | b] in order and keeps the picked ones as a
+    reduced echelon basis.  Each new row is reduced against the basis
+    with one product; a unit entry left in its `a` part means the row
+    raises the unit rank, so it is picked, its first unit column becomes
+    its pivot, and that column is cleared out of the basis rows.  Once
+    every column of a is a pivot the `b` part of the basis holds x.
 
     Returns (picks, x, skipped).  With fewer than `count` picks every
     row has been walked, len(picks) is the unit rank of a, and x is
     meaningless.  skipped is the reduced `b` part of the first row that
     was not picked (its `a` part is then all nilpotent), or None.
     """
-    m, p = ring.m, ring.p
-    cols = a.shape[1]
-    rows = np.concatenate([a, b], axis=1) % m
+    m, cols = ring.m, a.shape[1]
+    reduce, modulus = _reducer(m)
+    residue, prime = _reducer(ring.p)
+    rows = reduce(np.concatenate([a, b], axis=1), modulus)
     basis = np.zeros((count, rows.shape[1]), dtype=np.int64)
     pivots = np.zeros(count, dtype=np.intp)
     picks: list[int] = []
@@ -229,16 +246,16 @@ def _pick_and_solve(ring: RingSpec, a: np.ndarray, b: np.ndarray, count: int):
         if r == count:
             break
         if r:
-            row = (row - _mod_matmul(row[pivots[:r]], basis[:r], m)) % m
-        units = row[:cols] % p != 0
-        if not units.any():
+            row = reduce(row - _mod_matmul(row[pivots[:r]], basis[:r], m), modulus)
+        units = residue(row[:cols], prime).nonzero()[0]  # the unit columns
+        if not len(units):
             if skipped is None:
                 skipped = row[cols:]
             continue
-        c = int(units.argmax())
-        row = row * pow(int(row[c]), -1, m) % m  # a unit, so invertible
+        c = int(units[0])
+        row = reduce(row * pow(int(row[c]), -1, m), modulus)  # a unit, so invertible
         basis[:r] -= basis[:r, c, None] * row
-        basis[:r] %= m
+        reduce(basis[:r], modulus, out=basis[:r])
         basis[r] = row
         pivots[r] = c
         picks.append(i)

@@ -36,6 +36,7 @@ from lcdshare.errors import (
     NotFullRowRank,
     Singular,
 )
+from lcdshare.ring import ring_of_size
 
 RINGS = [make_ring(p, e) for p, e in [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (5, 1)]]
 
@@ -237,27 +238,58 @@ def int_walk(m, p, a, b, count):
     return picks, x, skipped
 
 
-@pytest.mark.parametrize("m, count", [(2**31 - 1, 2), (2**31 - 1, 3), (2**31 - 1, 5), (65521, 64)])
+@pytest.mark.parametrize(
+    "m, count",
+    [(2**31 - 1, 2), (2**31 - 1, 3), (2**31 - 1, 5), (65521, 64)]
+    # both sides of _reducer's choice: masked powers of two, and 9
+    + [(2, 3), (4, 3), (256, 4), (2**30, 4), (9, 4)],
+)
 def test_walk_products_stay_exact_at_the_overflow_boundary(m, count):
     """Blocks of m - 1 make every residue product as large as it can
     be.  At m = 2^31 - 1 a sum of two such products fits in int64 and
     a sum of three does not, so at count 5 each row is reduced with
-    the chunked product."""
-    ring, top = make_ring(m, 1), m - 1
+    the chunked product.  Every modulus also walks the edge inputs: an
+    `a` of width 0, count 0, and a row that the basis reduces to
+    nilpotents, between picked rows."""
+    ring, top = ring_of_size(m), m - 1
     flat = [[top] * count for _ in range(count + 2)]  # unit rank 1
     # the rows e_i + (m-1) elsewhere stay in the basis as they are, so
     # the all-(m-1) row after them sums count - 1 products (m-1)^2
     full = [[1 if j == i else top for j in range(count)] for i in range(count - 1)]
     full += flat[:3]
-    for a in (flat, full):
+    # full[0] + p * flat[0] leaves a nilpotent remainder that depends on
+    # which unit column of full[0] is its pivot
+    stalled = full[:1] + [[u + ring.p * v for u, v in zip(full[0], flat[0])]] + full[1:]
+    narrow = [[] for _ in full]
+    for a, walked in ((flat, count), (stalled, count), (narrow, count), (full, 0), (full, count)):
         b = [[top, 1, top * (i % 2)] for i in range(len(a))]
-        picks, x, skipped = linalg._pick_and_solve(ring, np.array(a), np.array(b), count)
-        want_picks, want_x, want_skipped = int_walk(m, m, a, b, count)
+        picks, x, skipped = linalg._pick_and_solve(
+            ring, np.array(a, dtype=np.int64).reshape(len(a), -1), np.array(b), walked
+        )
+        want_picks, want_x, want_skipped = int_walk(m, ring.p, a, b, walked)
         assert picks == want_picks and x.tolist() == want_x
         assert (skipped is None and want_skipped is None) or skipped.tolist() == want_skipped
-    assert len(picks) == count
-    rows = np.array([full[i] for i in picks], dtype=object)
-    assert ((rows @ np.array(x, dtype=object)) % m).tolist() == [b[i] for i in picks]
+    assert len(picks) == (count if ring.p > 2 else 1)  # mod 2 the rows of full are all 1
+    if ring.p > 2:
+        rows = np.array([full[i] for i in picks], dtype=object)
+        assert ((rows @ np.array(x, dtype=object)) % m).tolist() == [b[i] for i in picks]
+
+
+@pytest.mark.parametrize("m", [2**e for e in range(1, 31)] + [9, 65521])
+def test_reducer_equals_python_remainder(m):
+    """The mask for 2^e and the remainder otherwise both give v % m on
+    int64 extremes and on the negatives the basis update leaves, as low
+    as -(m-1)^2."""
+    rng, top = np.random.default_rng(m), m - 1
+    products = rng.integers(0, m, 200, dtype=np.int64) * rng.integers(0, m, 200, dtype=np.int64)
+    values = [-(2**63), 2**63 - 1, -1, 0, 1, top, m, -m, -top * top, top - top * top]
+    values += (-products).tolist() + (top - products).tolist()
+    values += rng.integers(-(2**63), 2**63 - 1, 200, dtype=np.int64).tolist()
+    reduce, operand = linalg._reducer(m)
+    arr = np.array(values, dtype=np.int64)
+    got = reduce(arr, operand)
+    assert got.dtype == np.int64 and got.tolist() == [v % m for v in values]
+    assert reduce(arr, operand, out=arr) is arr and arr.tolist() == got.tolist()
 
 
 @settings(max_examples=60)

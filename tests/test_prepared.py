@@ -152,29 +152,54 @@ def test_lcd_elimination_runs_once_per_code_object(z256_code, monkeypatch):
 
 
 def test_gram_elimination_runs_once_per_code_object(z256_code, monkeypatch):
-    g, h, n, k = z256_code.G, z256_code.H, z256_code.n, z256_code.k
-    fresh = LinearCode(ring=g.ring, n=n, k=k, G=g, H=h)
-    lcd_calls, eliminated = [], []
-    is_lcd, walk = codes.is_lcd, codes._pick_and_solve
-    monkeypatch.setattr(codes, "is_lcd", lambda code: lcd_calls.append(code) or is_lcd(code))
+    """Validation runs the Gram walk, and only a code that it finds not
+    LCD has H's rank walked apart; recoveries derive nothing again."""
+    g, h, n, k, ring = z256_code.G, z256_code.H, z256_code.n, z256_code.k, z256_code.ring
+    gram_walks, rank_checks, library_walks = [], [], []
+    walk, full_rank, library_walk = (
+        codes._pick_and_solve, codes.is_full_row_rank, linalg._pick_and_solve
+    )
     monkeypatch.setattr(
         codes, "_pick_and_solve",
-        lambda ring, a, b, count: eliminated.append(a.shape) or walk(ring, a, b, count),
+        lambda ring, a, b, count: gram_walks.append(a.shape) or walk(ring, a, b, count),
     )
-    library_walks = []
-    library_walk = linalg._pick_and_solve
+    monkeypatch.setattr(
+        codes, "is_full_row_rank", lambda mat: rank_checks.append(mat) or full_rank(mat)
+    )
     monkeypatch.setattr(
         linalg, "_pick_and_solve",
         lambda *args: library_walks.append(args) or library_walk(*args),
     )
-    secret = vector(fresh.ring, range(7, 7 + n))
+    fresh = LinearCode(ring=ring, n=n, k=k, G=g, H=h)
+    assert fresh.lcd and "gram_inverse" in vars(fresh)
+    assert gram_walks == [(n - k, n - k)] and rank_checks == []
+    assert len(library_walks) == 1  # G^+, as no right inverse was passed
+
+    seed = next(s for s in range(100) if not codes.random_code(ring, n, k, s).lcd)
+    gram_walks.clear()
+    rank_checks.clear()
+    other = codes.random_code(ring, n, k, seed)
+    assert not other.lcd
+    assert gram_walks == [(n - k, n - k)] and rank_checks == [other.H]
+
+    # H's last row times p still annihilates G but is all nilpotent, and
+    # H H^T, no longer invertible, sends validation to H's rank
+    deficient = h.entries.copy()
+    deficient[-1] = deficient[-1] * ring.p % ring.m
+    rank_checks.clear()
+    with pytest.raises(ValidationError, match="^H is not full row rank$"):
+        LinearCode(ring=ring, n=n, k=k, G=g, H=RMatrix(ring, deficient))
+    assert len(rank_checks) == 1
+
+    secret = vector(ring, range(7, 7 + n))
     shares, _ = deal(fresh, secret, count=100, seed=6)
+    for calls in (gram_walks, rank_checks, library_walks):
+        calls.clear()
     for i in range(100):
         assert recover(fresh, shares[i:] + shares[:i]) == secret
-    assert lcd_calls == [fresh]
-    assert eliminated == [(n - k, n - k)]  # H H^T, once, for Q and the verdict
     # M^{-1} is built from the cached G^+ and Q with products alone
-    assert "stacked_inverse" in vars(fresh) and library_walks == []
+    assert "stacked_inverse" in vars(fresh)
+    assert gram_walks == rank_checks == library_walks == []
 
 
 def test_code_data_is_read_only(z256_code):

@@ -138,8 +138,8 @@ def render_text(report: SecurityReport) -> str:
     """Human-readable rendering of a report."""
     lines = [
         f"parameters: n={report.n} k={report.k} q={report.q} t={report.t}",
-        f"codewords available (q^k): {report.codeword_count}",
-        f"candidate secrets (q^n): {report.secret_space}",
+        f"codewords available (q^k): {_digits(report.codeword_count)}",
+        f"candidate secrets (q^n): {_digits(report.secret_space)}",
         f"minimal authorized coalitions: {_rational(report.coalition_count)}",
         f"extensions of a {report.t}-coalition: {_rational(report.extension_count)}",
         f"guess probability for a {report.t}-coalition: "
@@ -159,7 +159,8 @@ def render_text(report: SecurityReport) -> str:
 
 
 def report_to_dict(report: SecurityReport) -> dict:
-    """Machine-readable rendering; rationals become num/den strings."""
+    """Machine-readable rendering; rationals become num/den strings and
+    the two integer counts decimal strings."""
 
     def frac(value: Fraction) -> dict:
         return {
@@ -172,8 +173,8 @@ def report_to_dict(report: SecurityReport) -> dict:
         "k": report.k,
         "t": report.t,
         "q": report.q,
-        "codeword_count": report.codeword_count,
-        "secret_space": report.secret_space,
+        "codeword_count": _digits(report.codeword_count),
+        "secret_space": _digits(report.secret_space),
         "coalition_count": frac(report.coalition_count),
         "extension_count": frac(report.extension_count),
         "guess_probability": frac(report.guess_probability),

@@ -21,6 +21,7 @@ from .codes import random_lcd_code
 from .errors import BadParameters, LcdshareError, NotLcd, ValidationError
 from .io_formats import (
     ShareFile,
+    _residue_block,
     _share_columns,
     _shares,
     read_code,
@@ -30,7 +31,7 @@ from .io_formats import (
     write_secret,
     write_shares,
 )
-from .linalg import RVector, vector
+from .linalg import RVector
 from .ring import parse_ring_label
 from .scheme import _audit, deal, recover
 
@@ -82,16 +83,7 @@ def _load_secret(spec: str, code, allow_inline: bool) -> RVector:
             "to accept that, or point --secret at a secret file"
         )
     values = _parse_csv_ints(spec, "--secret")
-    if len(values) != code.n:
-        raise BadParameters(
-            f"secret has {len(values)} entries, the code needs n={code.n}"
-        )
-    for v in values:
-        if not 0 <= v < code.ring.m:
-            raise ValidationError(
-                f"secret residue {v} out of range 0..{code.ring.m - 1}"
-            )
-    return vector(code.ring, values)
+    return RVector(code.ring, _residue_block([values], code.n, code.ring.m, "--secret")[0])
 
 
 def _refuse_existing(overwrite: bool, *targets: Optional[str]) -> None:

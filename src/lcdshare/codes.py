@@ -27,13 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    BadParameters,
-    DimensionMismatch,
-    GenerationFailed,
-    NotFullRowRank,
-    ValidationError,
-)
+from .errors import BadParameters, GenerationFailed, NotFullRowRank, ValidationError
 from .linalg import RMatrix, RVector, _pick_and_solve, is_full_row_rank, right_inverse
 from .ring import RingSpec
 from .rng import SplitMix64
@@ -48,15 +42,16 @@ class LinearCode:
     Validation runs on construction: shape and ring consistency,
     1 <= k <= n, full row rank of G and H, and G H^T = 0.  For k = n
     the parity check matrix is the empty 0 x n matrix and the dual
-    code is {0}.  Validation runs the Gram walk behind gram_inverse,
-    whose success proves H full row rank, so H's rank is walked apart
-    only for a code that is not LCD.
+    code is {0}.  G's rank is the verdict of the walk behind G_plus,
+    and H's that of the Gram walk behind gram_inverse, whose success
+    proves H full row rank, so H's rank is walked apart only for a code
+    that is not LCD.
 
     G^+, Q = (H H^T)^{-1}, the LCD verdict, M^{-1}, the dual map and the
     audit block are cached on first use; they cannot go stale, as the
     dataclass is frozen and G, H are read-only.
-    A caller that has eliminated G may pass its right inverse as
-    _known_G_plus; validate() checks G G^+ = I for it as for any G^+.
+    A caller that has eliminated G may pass right_inverse(G) as
+    _known_G_plus; it is cached as G^+ and vouches for G's rank.
     """
 
     ring: RingSpec
@@ -84,12 +79,10 @@ class LinearCode:
             raise ValidationError(
                 f"H has shape {self.H.shape}, expected {(self.n - self.k, self.n)}"
             )
-        try:  # a right inverse, however it was found, proves full row rank
-            inverts = self.G @ self.G_plus == RMatrix.identity(self.ring, self.k)
-        except (NotFullRowRank, DimensionMismatch):
-            inverts = False
-        if not inverts:
-            raise ValidationError("G is not full row rank")
+        try:  # the walk behind G_plus finds a right inverse iff G has full row rank
+            self.G_plus
+        except NotFullRowRank:
+            raise ValidationError("G is not full row rank") from None
         # an invertible H H^T gives H the right inverse H^T (H H^T)^{-1}
         if self.gram_inverse is None and not is_full_row_rank(self.H):
             raise ValidationError("H is not full row rank")

@@ -113,7 +113,8 @@ def _secret_layout(n: int) -> bytes:
 
 
 def _dealrec_layout(k: int, count: int) -> bytes:
-    record = _object_layout(3, id=b"%d", l=_array_layout([b"%d"] * k, 4))
+    l = _array_layout([b"%d"] * (k if count else 0), 4)  # with no rows, k is unused
+    record = _object_layout(3, id=b"%d", l=l)
     deal = _object_layout(1, seed=b"%d", l=_array_layout([record] * count, 2))
     return _document_layout(b"%d", k=b"%d", deal=deal)
 
@@ -207,6 +208,10 @@ def _parse(raw: bytes) -> dict:
         raise ParseError(
             f"invalid document: {exc.msg} (line {exc.lineno} column {exc.colno})"
         ) from exc
+    except ValueError as exc:  # an integer past Python's int-string digit limit
+        raise ParseError("invalid document: a number has too many digits") from exc
+    except RecursionError as exc:
+        raise ParseError("invalid document: arrays or objects nested too deeply") from exc
     if not isinstance(document, dict):
         raise ParseError("top level must be an object")
     return document

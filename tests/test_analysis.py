@@ -212,6 +212,7 @@ def test_report_json_round_trip():
     assert doc["guess_probability"]["approx"] == "0.0833333"
     assert doc["information_rate"]["rational"] == "1/2"
     assert doc["ring_heuristic_flag"] is False
+    assert (doc["codeword_count"], doc["secret_space"]) == ("4", "4")  # exact, as strings
     assert doc == report_to_dict(table_row(2, 2, 2, t=1))
 
 

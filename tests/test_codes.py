@@ -69,7 +69,7 @@ def test_validation_names_the_shape_of_a_wrong_h(z4_code):
 def test_validation_rejects_rank_deficiency():
     r4 = make_ring(2, 2)
     # G's second row is twice the first: unit rank 1, not a free code
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^G is not full row rank$"):
         LinearCode(
             ring=r4,
             n=3,

@@ -99,6 +99,14 @@ def test_a_shares_document_with_no_shares_lays_out_no_record():
     assert data == (json.dumps(document, indent=2) + "\n").encode("utf-8")
 
 
+def test_a_deal_record_with_no_rows_lays_out_no_row():
+    """Its k, here too large for any list, leaves the bytes as they are."""
+    ring = make_ring(2, 2)
+    document = {**header(ring, 2**62), "k": 2**62, "deal": {"seed": 0, "l": []}}
+    data = written(write_deal_record, DealRecord(ring, 2**62, 2**62, 0, ()))
+    assert data == (json.dumps(document, indent=2) + "\n").encode("utf-8")
+
+
 def z4_share(**fields):
     ring = make_ring(2, 2)
     share = Share(**{"id": 1, "c": vector(ring, [1, 2, 3]), "x": 0, "y": 1, **fields})

@@ -241,6 +241,20 @@ def test_malformed_bytes_are_parse_errors(data_dir):
         read_code(io.BytesIO(b'{"format_version": 1, "format_version": 1}'))
 
 
+@pytest.mark.parametrize("name", ["z4_8_4.code", "z4_8_4.shares"])
+def test_an_unreadable_number_or_nesting_is_a_parse_error(name, data_dir):
+    """json.loads raises ValueError for an integer past Python's
+    int-string digit limit and RecursionError for nesting past its
+    recursion limit; the readers turn both into ParseError."""
+    read = read_code if name.endswith(".code") else read_shares
+    raw = (data_dir / name).read_bytes()
+    long_n = raw.replace(b'"n": 8', b'"n": 1' + b"0" * 5000, 1)
+    with pytest.raises(ParseError, match="^invalid document: a number has too many digits$"):
+        read(io.BytesIO(long_n))
+    with pytest.raises(ParseError, match="^invalid document: arrays or objects nested too deeply$"):
+        read(io.BytesIO(b"[" * 100_000))
+
+
 def test_parse_error_reports_location():
     with pytest.raises(ParseError, match=r"line \d+ column \d+"):
         read_code(io.BytesIO(b'{"format_version": 1,,}'))
